@@ -224,6 +224,12 @@ func Read(path string) (*Snapshot, error) {
 		}
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
+	return decode(raw, path)
+}
+
+// decode validates and decodes the snapshot file contents raw; path only
+// names the file in errors.
+func decode(raw []byte, path string) (*Snapshot, error) {
 	if len(raw) < headerSize || string(raw[:4]) != magic {
 		return nil, errs.Failuref(errs.CodeInvalid, "checkpoint: %s is not a snapshot (bad magic)", path)
 	}
@@ -323,7 +329,7 @@ func decodeBody(r *bytes.Reader, v uint16) (*Snapshot, error) {
 		return nil, err
 	}
 	s.ShardDepth = int(sd)
-	nUnits, err := getU32(r)
+	nUnits, err := getCount(r, 4) // a unit is at least its u32 length
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +339,7 @@ func decodeBody(r *bytes.Reader, v uint16) (*Snapshot, error) {
 			return nil, err
 		}
 	}
-	nDone, err := getU32(r)
+	nDone, err := getCount(r, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +363,7 @@ func decodeBody(r *bytes.Reader, v uint16) (*Snapshot, error) {
 		}
 		*dst = int(c)
 	}
-	nEntries, err := getU32(r)
+	nEntries, err := getCount(r, entryMinSize)
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +393,7 @@ func decodeBody(r *bytes.Reader, v uint16) (*Snapshot, error) {
 		e.Adopted = ad != 0
 	}
 	if v >= 4 {
-		nTel, err := getU32(r)
+		nTel, err := getCount(r, 4+8) // name length + value
 		if err != nil {
 			return nil, err
 		}
@@ -462,13 +468,29 @@ func getI64(r *bytes.Reader) (int64, error) {
 	return int64(binary.LittleEndian.Uint64(buf[:])), nil
 }
 
-func getString(r *bytes.Reader) (string, error) {
+// entryMinSize is the smallest encoding of one memo Entry: state hash,
+// budget, cost, an empty tail's u32 length and the adopted byte.
+const entryMinSize = 16 + 8 + 8 + 4 + 1
+
+// getCount reads a u32 element count and rejects one whose elements,
+// at elemSize bytes or more each, cannot fit in the bytes that remain —
+// so no count read from a file can make an allocation larger than the
+// file itself.
+func getCount(r *bytes.Reader, elemSize uint64) (int, error) {
 	n, err := getU32(r)
 	if err != nil {
-		return "", err
+		return 0, err
 	}
-	if uint64(n) > uint64(r.Len()) {
-		return "", fmt.Errorf("string length %d exceeds remaining %d", n, r.Len())
+	if uint64(n)*elemSize > uint64(r.Len()) {
+		return 0, fmt.Errorf("count %d of %d-byte elements exceeds remaining %d bytes", n, elemSize, r.Len())
+	}
+	return int(n), nil
+}
+
+func getString(r *bytes.Reader) (string, error) {
+	n, err := getCount(r, 1)
+	if err != nil {
+		return "", err
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -478,12 +500,9 @@ func getString(r *bytes.Reader) (string, error) {
 }
 
 func getIntSlice(r *bytes.Reader) ([]int, error) {
-	n, err := getU32(r)
+	n, err := getCount(r, 4)
 	if err != nil {
 		return nil, err
-	}
-	if uint64(n)*4 > uint64(r.Len()) {
-		return nil, fmt.Errorf("slice length %d exceeds remaining %d bytes", n, r.Len())
 	}
 	if n == 0 {
 		return nil, nil

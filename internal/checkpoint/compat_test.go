@@ -48,16 +48,22 @@ func encodeBodyV2(s *Snapshot) []byte {
 	return b.Bytes()
 }
 
-// writeRaw persists a body under an arbitrary header version, bypassing
-// Write's pinning to the current version.
-func writeRaw(t *testing.T, path string, v uint16, body []byte) {
-	t.Helper()
+// rawSnapshot frames body as a snapshot file of version v, with a
+// correct CRC and length.
+func rawSnapshot(v uint16, body []byte) []byte {
 	var hdr [headerSize]byte
 	copy(hdr[:4], magic)
 	binary.LittleEndian.PutUint16(hdr[4:6], v)
 	binary.LittleEndian.PutUint32(hdr[6:10], crc32.ChecksumIEEE(body))
 	binary.LittleEndian.PutUint64(hdr[10:18], uint64(len(body)))
-	if err := os.WriteFile(path, append(hdr[:], body...), 0o644); err != nil {
+	return append(hdr[:], body...)
+}
+
+// writeRaw persists a body under an arbitrary header version, bypassing
+// Write's pinning to the current version.
+func writeRaw(t *testing.T, path string, v uint16, body []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, rawSnapshot(v, body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -35,18 +35,31 @@ import (
 // Unlike the explorer, a parent cannot skip a handed-off sibling: it
 // needs the child's answer to take the max. Handoff therefore publishes
 // sibling prefixes as *prefetch* tasks — a thief computes the subtree
-// into the memo table — and the parent still walks every child, turning
-// stolen subtrees into waits on their memo entries. Waits cannot
+// into the memo table. When the parent's edge visit then finds that child
+// claimed but not yet complete, it does not park on it: the child is
+// *deferred* (ABDADA's deferred siblings, Weill 1996). The parent records
+// it, walks its remaining siblings, and only after the sibling loop waits
+// on each deferred entry and folds it in — by then the other worker has
+// usually published it. The fold breaks ties by choice index, not by
+// arrival order, so deferral cannot change any answer. Waits cannot
 // deadlock: a visitor only ever waits on entries of strictly smaller
-// budget, so the wait graph is acyclic. Counters stay deterministic
-// because only edge visits (a parent walking its child) count: each
-// non-root node is computed-or-adopted by exactly one edge visit and
-// every further edge visit counts one prune, so Pruned is exactly
-// (DAG edges) − (non-root DAG nodes), a function of the configuration.
+// budget than its own claim, so the wait graph is acyclic. A single
+// worker never meets an incomplete entry (every claim it loses is one its
+// own traversal already published), so deferral never fires there.
+// Counters stay deterministic because only edge visits (a parent walking
+// its child) count, at the claim, deferred or not: each non-root node is
+// computed-or-adopted by exactly one edge visit and every further edge
+// visit counts one prune, so Pruned is exactly (DAG edges) − (non-root
+// DAG nodes), a function of the configuration.
 
 // errStopped unwinds a worker's DFS once another worker has hit an
 // internal error; it never escapes runExhaustive.
 var errStopped = errors.New("search: stopped")
+
+// errDeferred is a child visit's signal to its parent that it lost the
+// claim to an entry still being computed elsewhere; the entry and its key
+// are in hunter.pending. It never escapes the parent's sibling loop.
+var errDeferred = errors.New("search: deferred")
 
 // task is one frontier entry: the choice-index prefix that re-reaches the
 // subtree root from the initial state.
@@ -158,8 +171,8 @@ func (s *memoStripe) grow() {
 	}
 }
 
-// insert claims key with a fresh entry; found returns the existing one.
-// Both are called with the stripe lock held.
+// find returns the entry claimed for key, or nil. Called with the stripe
+// lock held.
 func (s *memoStripe) find(key memoKey) *memoEntry {
 	b := int32(key.budget) + 1
 	mask := uint64(len(s.slots) - 1)
@@ -176,6 +189,7 @@ func (s *memoStripe) find(key memoKey) *memoEntry {
 	}
 }
 
+// insert claims key with a fresh entry. Called with the stripe lock held.
 func (s *memoStripe) insert(key memoKey, e *memoEntry) {
 	b := int32(key.budget) + 1
 	mask := uint64(len(s.slots) - 1)
@@ -239,10 +253,10 @@ func (t *memoTable) lookup(key memoKey) *memoEntry {
 }
 
 // wait blocks until e is published or abort closes; it reports whether the
-// entry completed. A visitor only ever waits on entries of strictly
-// smaller budget than its own claim, so waits cannot cycle — and a
-// single-worker run never waits at all (every claim it loses is one its
-// own traversal already published).
+// entry completed. A visitor only ever waits on its deferred children,
+// entries of strictly smaller budget than its own claim, so waits cannot
+// cycle — and a single-worker run never waits at all (every claim it
+// loses is one its own traversal already published).
 func (t *memoTable) wait(key memoKey, e *memoEntry, abort <-chan struct{}) bool {
 	if e.complete.Load() {
 		return true
@@ -326,8 +340,27 @@ type hunter struct {
 	// deterministic ones above but never folded into the Result.
 	memoHits      int         // claims lost by an edge visit (entry reused)
 	memoClaims    int         // claims won (subtree computed here)
+	deferrals     int         // children deferred on an incomplete entry
+	waits         int         // deferred entries still incomplete after the sibling loop
 	faultBranches int         // fault choices walked by edge visits
 	flushed       engineTally // high-water of the last telemetry flush
+
+	// pending is the incomplete entry a child visit hands back with
+	// errDeferred; deferred stacks the deferred children of every node on
+	// the current DFS path, each node owning the segment above the length
+	// it found on entry. Both are reused, so deferral allocates nothing
+	// once the stack has grown to the deepest burst.
+	pending  deferral
+	deferred []deferral
+}
+
+// deferral is a child whose memo entry another worker was still computing
+// when its parent's edge visit claimed it.
+type deferral struct {
+	idx   int // choice index at the parent
+	step  int // the parent's step cost into the child
+	key   memoKey
+	entry *memoEntry
 }
 
 func newHunter(s *bnb, id int) (*hunter, error) {
@@ -479,8 +512,11 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 		if wasAdopted {
 			w.pruned++
 		}
-		if !w.s.table.wait(key, entry, w.s.abort) {
-			return 0, nil, errStopped
+		if !entry.complete.Load() {
+			// Still being computed by another worker: hand it back to the
+			// parent, which waits only after walking the other siblings.
+			w.pending = deferral{key: key, entry: entry}
+			return 0, nil, errDeferred
 		}
 		return entry.cost, entry.tail, nil
 	}
@@ -509,8 +545,16 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 	m := w.e.save()
 	// Track the winning child by index and published tail — child tails
 	// are immutable once published — and build this node's tail exactly
-	// once after the loop: one allocation per internal node.
+	// once after the loop: one allocation per internal node. Ties go to the
+	// smaller choice index, so folding deferred children last leaves the
+	// answer as if every child had been folded in order.
 	best, bestIdx, bestChild := -1, -1, []int(nil)
+	fold := func(i, total int, tail []int) {
+		if total > best || (total == best && i < bestIdx) {
+			best, bestIdx, bestChild = total, i, tail
+		}
+	}
+	base := len(w.deferred)
 	for i, c := range choices {
 		if por && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
 			// A sleeping process's subtree only contains schedules that
@@ -538,14 +582,31 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 		}
 		tailCost, tail, err := w.dfs(depth+1, childSleep, true)
 		if err != nil {
-			return 0, nil, err
-		}
-		if tailCost >= 0 { // skip blocked children (reduction only)
-			if total := step + tailCost; total > best {
-				best, bestIdx, bestChild = total, i, tail
+			if err != errDeferred {
+				return 0, nil, err
 			}
+			d := w.pending
+			d.idx, d.step = i, step
+			w.deferrals++
+			w.deferred = append(w.deferred, d)
+		} else if tailCost >= 0 { // skip blocked children (reduction only)
+			fold(i, step+tailCost, tail)
 		}
 		w.e.restore(m)
+	}
+	if len(w.deferred) > base {
+		for _, d := range w.deferred[base:] {
+			if !d.entry.complete.Load() {
+				w.waits++
+				if !w.s.table.wait(d.key, d.entry, w.s.abort) {
+					return 0, nil, errStopped
+				}
+			}
+			if d.entry.cost >= 0 {
+				fold(d.idx, d.step+d.entry.cost, d.entry.tail)
+			}
+		}
+		w.deferred = w.deferred[:base]
 	}
 	w.e.release(m)
 	var bestTail []int

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/memsim"
 	"repro/internal/model"
-	"repro/internal/progress"
 	"repro/internal/telemetry"
 )
 
@@ -105,7 +104,7 @@ type Config struct {
 	// Meter, when non-nil, receives batched node-visit ticks from the
 	// exhaustive engine so a CLI can report states/sec on stderr. It has
 	// no effect on the Result.
-	Meter *progress.Meter
+	Meter *telemetry.Meter
 	// Telemetry, when non-nil, receives batched engine, frontier and
 	// checkpoint counters (see docs/ARCHITECTURE.md, "Observability").
 	// It is a monotone write-only side-channel: nothing in the search

@@ -12,12 +12,15 @@ package search_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/search"
 	"repro/internal/signal"
+	"repro/internal/telemetry"
 )
 
 // seedConfigs are the workloads every property below quantifies over:
@@ -195,6 +198,75 @@ func TestWorkersEquivalent(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestWorkersEquivalentDeferred drives the deferred-child path: configs
+// large enough that a worker's edge visit regularly finds a memo entry
+// still being computed by another worker, which it defers until after
+// its sibling loop. The deferrals counter proves the path was reached;
+// every Result field must still equal the single-worker run. The Reduce
+// config covers cost-only entries, the blocked sentinel and the witness
+// reconstructed from the table. TestDeferredChildrenFold (package-internal)
+// forces the same path deterministically.
+func TestWorkersEquivalentDeferred(t *testing.T) {
+	// Deferral needs two workers really running at once.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	queue := func(waiters, depth int, reduce bool) search.Config {
+		scripts := map[memsim.PID][]memsim.CallKind{
+			memsim.PID(waiters): {memsim.CallSignal},
+		}
+		for p := 0; p < waiters; p++ {
+			scripts[memsim.PID(p)] = []memsim.CallKind{memsim.CallPoll, memsim.CallPoll}
+		}
+		return search.Config{
+			Factory:  signal.QueueSignal().New,
+			N:        waiters + 1,
+			Scripts:  scripts,
+			MaxDepth: depth,
+			Model:    model.ModelCC,
+			Reduce:   reduce,
+		}
+	}
+	for name, cfg := range map[string]search.Config{
+		"queue-3w-d16":        queue(3, 16, false),
+		"queue-4w-d16-reduce": queue(4, 16, true),
+	} {
+		t.Run(name, func(t *testing.T) {
+			base := cfg
+			base.Workers = 1
+			want, err := search.Run(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 8} {
+				// Deferral is a timing race that a loaded machine makes
+				// rarer, so retry for a while until it fires; every attempt
+				// must match workers=1.
+				deferrals := int64(0)
+				for start := time.Now(); deferrals == 0 && time.Since(start) < 10*time.Second; {
+					reg := telemetry.New()
+					c := cfg
+					c.Workers = workers
+					c.Telemetry = reg
+					got, err := search.Run(c)
+					if err != nil {
+						t.Fatalf("workers=%d: %v", workers, err)
+					}
+					got.Workers = want.Workers // the only legitimately differing field
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("workers=%d diverged:\n workers=1: %+v\n workers=%d: %+v",
+							workers, want, workers, got)
+					}
+					deferrals = reg.Counter("repro_engine_memo_deferrals_total").Value()
+				}
+				if deferrals == 0 {
+					t.Fatalf("workers=%d: no child was deferred in 10s of runs; the config no longer reaches the deferred path", workers)
+				}
+			}
+		})
 	}
 }
 

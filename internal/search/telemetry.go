@@ -21,6 +21,8 @@ type engineMetrics struct {
 	pruned        *telemetry.Counter
 	memoHits      *telemetry.Counter
 	memoMisses    *telemetry.Counter
+	memoDeferrals *telemetry.Counter
+	memoWaits     *telemetry.Counter
 	sleepPrunes   *telemetry.Counter
 	symMerges     *telemetry.Counter
 	faultBranches *telemetry.Counter
@@ -44,6 +46,8 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		pruned:        reg.Counter("repro_engine_pruned_total"),
 		memoHits:      reg.Counter("repro_engine_memo_hits_total"),
 		memoMisses:    reg.Counter("repro_engine_memo_misses_total"),
+		memoDeferrals: reg.Counter("repro_engine_memo_deferrals_total"),
+		memoWaits:     reg.Counter("repro_engine_memo_waits_total"),
 		sleepPrunes:   reg.Counter("repro_engine_sleep_prunes_total"),
 		symMerges:     reg.Counter("repro_engine_symmetry_merges_total"),
 		faultBranches: reg.Counter("repro_engine_fault_branches_total"),
@@ -58,7 +62,7 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 // hunter counter; flushes ship the delta since the previous copy.
 type engineTally struct {
 	nodes, paths, truncated, pruned, memoHits, memoMisses,
-	stepsSlept, symMerges, faultBranches, poolHits, poolMisses int
+	memoDeferrals, memoWaits, stepsSlept, symMerges, faultBranches, poolHits, poolMisses int
 }
 
 // telTally snapshots the hunter's counters (including the engine-owned
@@ -71,6 +75,8 @@ func (w *hunter) telTally() engineTally {
 		pruned:        w.pruned,
 		memoHits:      w.memoHits,
 		memoMisses:    w.memoClaims,
+		memoDeferrals: w.deferrals,
+		memoWaits:     w.waits,
 		stepsSlept:    w.stepsSlept,
 		symMerges:     w.symMerges,
 		faultBranches: w.faultBranches,
@@ -91,6 +97,8 @@ func (em *engineMetrics) addTally(shard int, prev, cur engineTally, undoMax, max
 	em.pruned.Add(shard, int64(cur.pruned-prev.pruned))
 	em.memoHits.Add(shard, int64(cur.memoHits-prev.memoHits))
 	em.memoMisses.Add(shard, int64(cur.memoMisses-prev.memoMisses))
+	em.memoDeferrals.Add(shard, int64(cur.memoDeferrals-prev.memoDeferrals))
+	em.memoWaits.Add(shard, int64(cur.memoWaits-prev.memoWaits))
 	em.sleepPrunes.Add(shard, int64(cur.stepsSlept-prev.stepsSlept))
 	em.symMerges.Add(shard, int64(cur.symMerges-prev.symMerges))
 	em.faultBranches.Add(shard, int64(cur.faultBranches-prev.faultBranches))
