@@ -2,22 +2,21 @@ package explore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 
 	"repro/internal/memsim"
+	"repro/internal/statespace"
 )
 
 // The backtracking engine keeps one live execution per worker for the
-// whole exploration. Process state is held in resumable frames (plain
-// copyable structs, snapshotted per tree node via memsim.CloneResumable)
-// and shared memory is wound back through the machine's undo log, so
-// moving to a sibling schedule retracts one decision instead of replaying
-// the prefix. With dedup enabled, a canonical hash of (machine words, LL
-// reservations, frames, pending calls, script progress) claims each
-// (state, remaining depth budget) pair exactly once across all workers;
-// later arrivals prune their subtree.
+// whole exploration: a statespace.Exec, whose frames snapshot per tree
+// node and whose shared memory winds back through the machine's undo log,
+// so moving to a sibling schedule retracts one decision instead of
+// replaying the prefix. With dedup enabled, a canonical hash of (machine
+// words, LL reservations, frames, pending calls, script progress, monitor
+// bits) claims each (state, remaining depth budget) pair exactly once
+// across all workers; later arrivals prune their subtree.
 //
 // The engine emits exactly the events the Controller would: its settle
 // order, call bookkeeping and sequence numbering replicate
@@ -54,34 +53,15 @@ func backtrackable(cfg Config) bool {
 	return true
 }
 
-// procPhase mirrors the controller's view of one process.
-type bPhase uint8
-
-const (
-	bIdle bPhase = iota
-	bPending
-	bDone
-)
-
-// bengine is the mutable exploration state: one machine, one frame per
-// process, the trace so far, and the machine undo log.
+// bengine is the explorer's live execution: the shared substrate plus
+// the trace so far, per-process call counts, the applied choices'
+// descriptions, and the Specification 4.1 monitor bits.
 type bengine struct {
-	mach     *memsim.Machine
-	inst     memsim.ResumableInstance
-	n        int
-	scripts  [][]memsim.CallKind // dense per-pid view of Config.Scripts; nil = unscripted
-	frames   []memsim.Resumable
-	phase    []bPhase
-	pending  []memsim.Access
-	rets     []memsim.Value
-	calls    []int
-	kinds    []memsim.CallKind
-	progress []int
-	events   []memsim.Event
-	seq      int
-	undos    []memsim.Undo
-	desc     []string // applied choices, for failure reports
-	path     []int    // applied choice indices, for task prefixes
+	statespace.Exec
+	calls  []int
+	events []memsim.Event
+	seq    int
+	desc   []string // applied choices, for failure reports
 
 	// Specification-monitor bits: the prefix facts Specification 4.1's
 	// checker conditions on, folded into the dedup key so that two states
@@ -92,86 +72,31 @@ type bengine struct {
 	sigEnded    bool   // some Signal call has completed
 	afterSigEnd []bool // per process: open call began after the first Signal completed
 
-	// Fault dimension: the policy in force and the number of faults the
-	// current schedule prefix has injected. faultsUsed joins the state
-	// key whenever the policy is enabled — a state reached with budget
-	// left must never merge with the same state reached without.
-	fp         memsim.FaultPolicy
-	faultsUsed int
-
-	// Hot-path scratch, all engine-owned and reused node to node: the
-	// state-key build buffer, per-(pid, kind) precomputed choice
-	// descriptions, per-depth settle buffers, and the free list of
-	// released node snapshots. See "hot-path memory discipline" in
-	// docs/ARCHITECTURE.md.
-	keyBuf     []byte
-	descs      [][4]string
-	choiceBufs [][]choice
-	markPool   []*mark
-
-	// Telemetry-only statistics of the scratch structures above: pool
-	// reuse and the undo-log high-water mark, sampled at save(). Plain
-	// ints on the engine; flushed with the worker tallies, never read
-	// by the exploration itself.
-	poolHits   int
-	poolMisses int
-	undoMax    int
+	// Hot-path scratch, reused node to node: per-(pid, kind) precomputed
+	// choice descriptions and the free list of released node snapshots.
+	// The pool's hit counts are telemetry only.
+	descs [][4]string
+	marks statespace.Pool[mark]
 }
 
 func newBengine(cfg Config) (*bengine, error) {
-	m := memsim.NewMachine(cfg.N)
-	inst, err := cfg.Factory(m, cfg.N)
-	if err != nil {
-		return nil, fmt.Errorf("deploy instance: %w", err)
+	e := &bengine{}
+	if err := e.Init(cfg.Factory, cfg.N, cfg.Scripts, cfg.Faults); err != nil {
+		if errors.Is(err, statespace.ErrNoResumableTier) {
+			return nil, fmt.Errorf("explore: %v; use EngineReplay", err)
+		}
+		return nil, err
 	}
-	ri, ok := inst.(memsim.ResumableInstance)
-	if !ok {
-		return nil, fmt.Errorf("explore: %T has no resumable tier; use EngineReplay", inst)
-	}
-	descs := make([][4]string, cfg.N)
-	for pid := range descs {
-		descs[pid] = [4]string{
+	e.calls = make([]int, cfg.N)
+	e.afterSigEnd = make([]bool, cfg.N)
+	e.descs = make([][4]string, cfg.N)
+	for pid := range e.descs {
+		e.descs[pid] = [4]string{
 			fmt.Sprintf("p%d", pid), fmt.Sprintf("p%d+", pid),
 			fmt.Sprintf("p%d!", pid), fmt.Sprintf("p%d?", pid),
 		}
 	}
-	return &bengine{
-		mach:     m,
-		inst:     ri,
-		n:        cfg.N,
-		scripts:  denseScripts(cfg.N, cfg.Scripts),
-		frames:   make([]memsim.Resumable, cfg.N),
-		phase:    make([]bPhase, cfg.N),
-		pending:  make([]memsim.Access, cfg.N),
-		rets:     make([]memsim.Value, cfg.N),
-		calls:    make([]int, cfg.N),
-		kinds:    make([]memsim.CallKind, cfg.N),
-		progress: make([]int, cfg.N),
-
-		afterSigEnd: make([]bool, cfg.N),
-
-		fp: cfg.Faults,
-
-		descs: descs,
-	}, nil
-}
-
-// denseScripts flattens the per-pid script map into a pid-indexed slice so
-// the settle/apply/stateKey hot loops index instead of hashing. A nil row
-// means the pid is unscripted; a present-but-empty script stays non-nil
-// (the pid is scripted, with nothing to run).
-func denseScripts(n int, scripts map[memsim.PID][]memsim.CallKind) [][]memsim.CallKind {
-	dense := make([][]memsim.CallKind, n)
-	for p, s := range scripts {
-		if int(p) < 0 || int(p) >= n {
-			continue
-		}
-		if s == nil {
-			s = []memsim.CallKind{}
-		}
-		dense[p] = s
-	}
-	return dense
+	return e, nil
 }
 
 func (e *bengine) emit(ev memsim.Event) {
@@ -180,368 +105,164 @@ func (e *bengine) emit(ev memsim.Event) {
 	e.events = append(e.events, ev)
 }
 
-// advance feeds prev into pid's frame and records its next scheduling point.
-func (e *bengine) advance(pid memsim.PID, prev memsim.Result) {
-	if acc, ok := e.frames[pid].Next(prev); ok {
-		e.pending[pid] = acc
-		e.phase[pid] = bPending
-	} else {
-		e.rets[pid] = e.frames[pid].Return()
-		e.phase[pid] = bDone
-	}
-}
-
-// settle collects completed calls (eagerly, so call-end events get the
-// earliest consistent position, exactly like the replay engine) and returns
-// the open scheduling choices in deterministic order.
-func (e *bengine) settle() []choice {
-	return e.settleInto(nil)
-}
-
-// settleAt is settle writing into the engine's depth-indexed choice
-// buffer: the DFS settles each node exactly once and recursion uses deeper
-// buffers, so one buffer per depth makes the settle loop allocation-free
-// after warm-up. The returned slice is valid until the same depth settles
-// again.
-func (e *bengine) settleAt(depth int) []choice {
-	for len(e.choiceBufs) <= depth {
-		e.choiceBufs = append(e.choiceBufs, make([]choice, 0, e.n))
-	}
-	choices := e.settleInto(e.choiceBufs[depth][:0])
-	e.choiceBufs[depth] = choices
-	return choices
-}
-
-func (e *bengine) settleInto(choices []choice) []choice {
-	for pid := 0; pid < e.n; pid++ {
+// endCalls emits the call-end event of every call that completed since
+// the last settle, in PID order (eagerly, so call-end events get the
+// earliest consistent position, exactly like the replay engine), and
+// latches the first Signal completion.
+func (e *bengine) endCalls() {
+	for pid, ph := range e.Phase {
+		if ph != statespace.Done {
+			continue
+		}
 		p := memsim.PID(pid)
-		script := e.scripts[p]
-		if script == nil {
-			continue
-		}
-		if e.phase[p] == bDone {
-			kind := e.kinds[p]
-			e.emit(memsim.Event{
-				Kind: memsim.EvCallEnd, PID: p, CallSeq: e.calls[p] - 1,
-				Proc: kind.String(), Ret: e.rets[p],
-			})
-			e.phase[p] = bIdle
-			e.frames[p] = nil
-			if kind == memsim.CallSignal {
-				e.sigEnded = true
-			}
-			if kind == memsim.CallPoll && e.rets[p] != 0 {
-				// The waiter observed the signal; the problem statement
-				// says it stops polling.
-				e.progress[p] = len(script)
-			}
-		}
-		if e.phase[p] == bPending {
-			choices = append(choices, choice{pid: p})
-			continue
-		}
-		if e.phase[p] == bIdle && e.progress[p] < len(script) {
-			choices = append(choices, choice{pid: p, start: true})
+		e.emit(memsim.Event{
+			Kind: memsim.EvCallEnd, PID: p, CallSeq: e.calls[p] - 1,
+			Proc: e.Kinds[p].String(), Ret: e.Rets[p],
+		})
+		if e.Kinds[p] == memsim.CallSignal {
+			e.sigEnded = true
 		}
 	}
-	// Fault choice points come after every regular choice, so the
-	// fault-free enumeration is a prefix of the faulty one and a disabled
-	// policy changes nothing. The order mirrors appendFaultChoices (the
-	// replay engine's version) exactly: PID order, crash before lost CAS.
-	if e.fp.Enabled() && e.faultsUsed < e.fp.Max {
-		for pid := 0; pid < e.n; pid++ {
-			p := memsim.PID(pid)
-			if e.phase[p] != bPending {
-				continue
-			}
-			if e.fp.Kinds.Has(memsim.FaultCrash) {
-				choices = append(choices, choice{pid: p, fault: memsim.FaultCrash})
-			}
-			if e.fp.Kinds.Has(memsim.FaultLostCAS) && e.pending[p].Op == memsim.OpCAS &&
-				e.mach.Load(e.pending[p].Addr) == e.pending[p].Arg1 {
-				choices = append(choices, choice{pid: p, fault: memsim.FaultLostCAS})
-			}
-		}
-	}
-	return choices
 }
 
-// apply performs one scheduling decision: start pid's next scripted call,
-// or grant its pending access (logging the machine undo). idx is c's index
-// in the node's settled choice set, recorded so that any tree position can
-// be re-reached from the root by index sequence alone (how parallel workers
-// hand off subtrees).
-func (e *bengine) apply(c choice, idx int) error {
-	p := c.pid
-	switch c.fault {
-	case memsim.FaultCrash:
-		// Mirror Controller.Crash: the in-flight call is abandoned (frame
-		// dropped, call count rewound so the restart reuses its CallSeq),
-		// the script position rewinds so the same call restarts, and the
-		// machine applies the fault's memory effect through the undo log.
-		e.undos = e.mach.CrashLogged(p, e.fp.Vol, e.undos)
+// Settle and SettleAt are the substrate's, after the call-end events.
+func (e *bengine) Settle() []statespace.Choice {
+	e.endCalls()
+	return e.Exec.Settle()
+}
+
+func (e *bengine) SettleAt(depth int) []statespace.Choice {
+	e.endCalls()
+	return e.Exec.SettleAt(depth)
+}
+
+// Step performs one scheduling decision on the substrate and logs it:
+// the event the Controller would emit, the call bookkeeping, the monitor
+// bits and the choice's description.
+func (e *bengine) Step(c statespace.Choice, idx int) error {
+	acc, res, err := e.Apply(c, idx)
+	if err != nil {
+		return fmt.Errorf("explore: %w", err)
+	}
+	p := c.PID
+	switch {
+	case c.Fault == memsim.FaultCrash:
+		// Mirror Controller.Crash: the call count rewinds so the restart
+		// reuses its CallSeq.
 		e.calls[p]--
-		e.progress[p]--
 		e.emit(memsim.Event{
 			Kind: memsim.EvCrash, PID: p, CallSeq: e.calls[p],
-			Proc: e.kinds[p].String(), Fault: memsim.FaultCrash,
+			Proc: e.Kinds[p].String(), Fault: memsim.FaultCrash,
 		})
-		e.phase[p] = bIdle
-		e.frames[p] = nil
-		e.faultsUsed++
 		e.desc = append(e.desc, e.descs[p][2])
-		e.path = append(e.path, idx)
-		return nil
-	case memsim.FaultLostCAS:
-		// Mirror Controller.StepLostCAS: memory applies the real CAS (the
-		// event carries the true result plus the fault marker) while the
-		// frame observes failure.
-		acc := e.pending[p]
-		res, undo := e.mach.ApplyLogged(p, acc)
-		e.undos = append(e.undos, undo)
-		e.emit(memsim.Event{
-			Kind: memsim.EvAccess, PID: p, CallSeq: e.calls[p] - 1,
-			Proc: e.kinds[p].String(), Acc: acc, Res: res, Fault: memsim.FaultLostCAS,
-		})
-		e.advance(p, memsim.Result{Val: acc.Arg1, OK: false})
-		e.faultsUsed++
-		e.desc = append(e.desc, e.descs[p][3])
-		e.path = append(e.path, idx)
-		return nil
-	}
-	if c.start {
-		kind := e.scripts[p][e.progress[p]]
-		r, err := e.inst.ResumableProgram(p, kind)
-		if err != nil {
-			return fmt.Errorf("explore: start %v on p%d: %w", kind, p, err)
-		}
-		e.progress[p]++
-		e.kinds[p] = kind
-		e.frames[p] = r
+	case c.Start:
+		kind := e.Kinds[p]
 		e.afterSigEnd[p] = e.sigEnded
 		if kind == memsim.CallSignal {
 			e.sigStarted = true
 		}
 		e.emit(memsim.Event{Kind: memsim.EvCallStart, PID: p, CallSeq: e.calls[p], Proc: kind.String()})
 		e.calls[p]++
-		e.advance(p, memsim.Result{})
-	} else {
-		res, undo := e.mach.ApplyLogged(p, e.pending[p])
-		e.undos = append(e.undos, undo)
+		e.desc = append(e.desc, e.descs[p][1])
+	default:
+		// A lost CAS's event carries the true result plus the fault
+		// marker.
 		e.emit(memsim.Event{
 			Kind: memsim.EvAccess, PID: p, CallSeq: e.calls[p] - 1,
-			Proc: e.kinds[p].String(), Acc: e.pending[p], Res: res,
+			Proc: e.Kinds[p].String(), Acc: acc, Res: res, Fault: c.Fault,
 		})
-		e.advance(p, res)
+		if c.Fault == memsim.FaultLostCAS {
+			e.desc = append(e.desc, e.descs[p][3])
+		} else {
+			e.desc = append(e.desc, e.descs[p][0])
+		}
 	}
-	if c.start {
-		e.desc = append(e.desc, e.descs[c.pid][1])
-	} else {
-		e.desc = append(e.desc, e.descs[c.pid][0])
-	}
-	e.path = append(e.path, idx)
 	return nil
 }
 
-// mark is one node's snapshot: cloned frames plus the small per-process
-// scheduler arrays, and the high-water marks of the append-only logs
-// (events, undo records, choice descriptions). Marks come from the
-// engine's free list: save pops (or allocates) one and copies the engine
-// state into its arrays, release pushes it back, and the retained frame
-// clones become the copy targets of the next save of the slot — so the
-// steady-state save/restore/release cycle allocates nothing.
+// mark is one node's snapshot: the substrate's, plus the call counts,
+// the monitor bits, and the high-water marks of the event and
+// description logs.
 type mark struct {
-	frames   []memsim.Resumable
-	phase    []bPhase
-	pending  []memsim.Access
-	rets     []memsim.Value
-	calls    []int
-	kinds    []memsim.CallKind
-	progress []int
-	events   int
-	seq      int
-	undos    int
-	desc     int // truncation point of both desc and path (always equal)
-
+	statespace.Mark
+	calls       []int
+	afterSigEnd []bool
+	events      int
+	seq         int
+	desc        int
 	sigStarted  bool
 	sigEnded    bool
-	afterSigEnd []bool
-
-	faultsUsed int
-}
-
-func newMark(n int) *mark {
-	return &mark{
-		frames:      make([]memsim.Resumable, n),
-		phase:       make([]bPhase, n),
-		pending:     make([]memsim.Access, n),
-		rets:        make([]memsim.Value, n),
-		calls:       make([]int, n),
-		kinds:       make([]memsim.CallKind, n),
-		progress:    make([]int, n),
-		afterSigEnd: make([]bool, n),
-	}
 }
 
 func (e *bengine) save() *mark {
-	if len(e.undos) > e.undoMax {
-		e.undoMax = len(e.undos)
-	}
-	var m *mark
-	if n := len(e.markPool); n > 0 {
-		e.poolHits++
-		m = e.markPool[n-1]
-		e.markPool = e.markPool[:n-1]
-	} else {
-		e.poolMisses++
-		m = newMark(e.n)
-	}
-	copy(m.phase, e.phase)
-	copy(m.pending, e.pending)
-	copy(m.rets, e.rets)
-	copy(m.calls, e.calls)
-	copy(m.kinds, e.kinds)
-	copy(m.progress, e.progress)
-	m.events = len(e.events)
-	m.seq = e.seq
-	m.undos = len(e.undos)
-	m.desc = len(e.desc)
-	m.sigStarted = e.sigStarted
-	m.sigEnded = e.sigEnded
-	copy(m.afterSigEnd, e.afterSigEnd)
-	m.faultsUsed = e.faultsUsed
-	// Mark-owned frames never alias engine-owned frames: CloneResumableInto
-	// copies content into the mark's retained clone (or makes a fresh one),
-	// so further engine steps cannot disturb the snapshot.
-	for i, f := range e.frames {
-		m.frames[i] = memsim.CloneResumableInto(m.frames[i], f)
-	}
+	m := e.marks.Get()
+	e.Save(&m.Mark)
+	m.calls = append(m.calls[:0], e.calls...)
+	m.afterSigEnd = append(m.afterSigEnd[:0], e.afterSigEnd...)
+	m.events, m.seq, m.desc = len(e.events), e.seq, len(e.desc)
+	m.sigStarted, m.sigEnded = e.sigStarted, e.sigEnded
 	return m
 }
 
-// release returns a mark to the engine's free list once no sibling will
-// restore from it again. The retained frame clones are the reuse targets
-// of the next save.
-func (e *bengine) release(m *mark) {
-	e.markPool = append(e.markPool, m)
-}
+// release returns a mark to the free list once no sibling will restore
+// from it again.
+func (e *bengine) release(m *mark) { e.marks.Put(m) }
 
-// restore winds the engine back to m: machine undos revert in reverse
-// order, the scheduler arrays copy back, and the logs truncate. Frames are
-// re-cloned (into the engine's current frames, reusing their allocations)
-// so the mark stays pristine for further siblings.
+// restore winds the engine back to m; the mark stays pristine for
+// further siblings.
 func (e *bengine) restore(m *mark) {
-	for i := len(e.undos) - 1; i >= m.undos; i-- {
-		e.mach.Revert(e.undos[i])
-	}
-	e.undos = e.undos[:m.undos]
-	for i := range m.frames {
-		e.frames[i] = memsim.CloneResumableInto(e.frames[i], m.frames[i])
-	}
-	copy(e.phase, m.phase)
-	copy(e.pending, m.pending)
-	copy(e.rets, m.rets)
+	e.Restore(&m.Mark)
 	copy(e.calls, m.calls)
-	copy(e.kinds, m.kinds)
-	copy(e.progress, m.progress)
+	copy(e.afterSigEnd, m.afterSigEnd)
 	e.events = e.events[:m.events]
 	e.seq = m.seq
 	e.desc = e.desc[:m.desc]
-	e.path = e.path[:m.desc]
-	e.sigStarted = m.sigStarted
-	e.sigEnded = m.sigEnded
-	copy(e.afterSigEnd, m.afterSigEnd)
-	e.faultsUsed = m.faultsUsed
+	e.sigStarted, e.sigEnded = m.sigStarted, m.sigEnded
 }
 
 // stateKey hashes the canonical post-settle state: machine word values and
 // will-succeed LL reservations (version counters and writer history do not
 // affect future behavior), the specification-monitor bits (two states with
-// different spec-relevant pasts must never merge), plus each scripted
-// process's frame, pending access, call count and script position. Frames
-// encode through memsim.AppendFrameState, so sub-frames hash by content
-// rather than by (clone-dependent) heap address. The encoding is built
-// into the engine's reusable scratch buffer and hashed through the
-// inlined 128-bit FNV (memsim.HashKey128) — no allocation per node — and it induces
-// exactly the partition of the legacy text walk (stateKeyLegacy, kept as
-// the differential-test oracle): every component is self-delimiting and
-// renders the same canonical facts.
+// different spec-relevant pasts must never merge), the fault budget used,
+// plus each scripted process's phase, call count, script position, pending
+// access and frame (memsim.AppendKeyFrameState). The encoding is built
+// into the engine's reusable scratch buffer and hashed through the inlined
+// 128-bit FNV (memsim.HashKey128) — no allocation per node — and it
+// induces exactly the partition of the legacy text walk kept as the
+// differential-test oracle: every component is self-delimiting and renders
+// the same canonical facts.
 func (e *bengine) stateKey() [16]byte {
-	b := e.mach.AppendKeyState(e.keyBuf[:0])
-	b = append(b, boolBit(e.sigStarted)|boolBit(e.sigEnded)<<1)
-	if e.fp.Enabled() {
-		// The remaining fault budget shapes the subtree below a state, so
-		// faults-used joins the key — but only under an enabled policy,
-		// keeping k=0 keys byte-identical to fault-free ones.
-		b = binary.AppendUvarint(b, uint64(e.faultsUsed))
-	}
-	for pid := 0; pid < e.n; pid++ {
+	b := e.Mach.AppendKeyState(e.KeyBuf[:0])
+	b = e.AppendGlobalKey(b)
+	b = e.AppendFaultsKey(b)
+	for pid := 0; pid < e.N; pid++ {
 		p := memsim.PID(pid)
-		if e.scripts[p] == nil {
+		if e.Scripts[p] == nil {
 			continue
 		}
-		b = append(b, byte(e.phase[p]),
-			boolBit(e.phase[p] != bIdle && e.afterSigEnd[p]))
-		b = binary.AppendUvarint(b, uint64(e.calls[p]))
-		b = binary.AppendUvarint(b, uint64(e.progress[p]))
-		if e.phase[p] == bPending {
-			acc := e.pending[p]
-			b = append(b, byte(acc.Op))
-			b = binary.AppendUvarint(b, uint64(acc.Addr))
-			b = binary.AppendVarint(b, acc.Arg1)
-			b = binary.AppendVarint(b, acc.Arg2)
-		}
-		b = memsim.AppendKeyFrameState(b, e.frames[p])
+		b = append(b, byte(e.Phase[p]))
+		b = e.AppendProcKey(b, p)
+		b = e.AppendProcTail(b, p)
 	}
-	e.keyBuf = b
+	e.KeyBuf = b
 	return memsim.HashKey128(b)
 }
 
-func boolBit(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
+// AppendGlobalKey appends the specification-monitor bits.
+func (e *bengine) AppendGlobalKey(b []byte) []byte {
+	return append(b, statespace.BoolBit(e.sigStarted)|statespace.BoolBit(e.sigEnded)<<1)
 }
 
-// stateKeyLegacy is the original reflective fmt-walk state key. It is the
-// oracle of the encoder-equivalence tests: the binary stateKey must merge
-// exactly the states this key merges, for every algorithm.
-func (e *bengine) stateKeyLegacy() [16]byte {
-	h := fnv.New128a()
-	for a := 0; a < e.mach.Size(); a++ {
-		fmt.Fprintf(h, "w%d;", e.mach.Load(memsim.Addr(a)))
-	}
-	for pid := 0; pid < e.n; pid++ {
-		if addr, ok := e.mach.LLState(memsim.PID(pid)); ok {
-			fmt.Fprintf(h, "ll%d=%d;", pid, addr)
-		}
-	}
-	fmt.Fprintf(h, "sig%v,%v;", e.sigStarted, e.sigEnded)
-	if e.fp.Enabled() {
-		fmt.Fprintf(h, "faults%d;", e.faultsUsed)
-	}
-	for pid := 0; pid < e.n; pid++ {
-		p := memsim.PID(pid)
-		if e.scripts[p] == nil {
-			continue
-		}
-		fmt.Fprintf(h, "p%d:%d,%d,%d,%v;", pid, e.phase[p], e.calls[p], e.progress[p],
-			e.phase[p] != bIdle && e.afterSigEnd[p])
-		if e.phase[p] == bPending {
-			acc := e.pending[p]
-			fmt.Fprintf(h, "a%d,%d,%d,%d;", acc.Op, acc.Addr, acc.Arg1, acc.Arg2)
-		}
-		if f := e.frames[p]; f != nil {
-			io.WriteString(h, "f")
-			memsim.EncodeFrameState(h, f)
-			io.WriteString(h, ";")
-		}
-	}
-	var key [16]byte
-	copy(key[:], h.Sum(nil))
-	return key
+// AppendProcKey appends p's open-call-after-first-Signal bit and its call
+// count.
+func (e *bengine) AppendProcKey(b []byte, p memsim.PID) []byte {
+	b = append(b, statespace.BoolBit(e.Phase[p] != statespace.Idle && e.afterSigEnd[p]))
+	return binary.AppendUvarint(b, uint64(e.calls[p]))
 }
+
+// AppendTailKey appends nothing: the explorer's key ends with the
+// process sections.
+func (e *bengine) AppendTailKey(b []byte) []byte { return b }
 
 // runBacktrack lives in parallel.go: the backtracking DFS is driven by a
 // worker pool (of size one and up) sharding the schedule tree over a

@@ -117,7 +117,7 @@ func xdelta(prev xtally, w *searcher) checkpoint.Counters {
 // and check, internal nodes claim (losing arrivals dedup) — except that
 // a won internal node AT depth d becomes a unit instead of recursing.
 func (w *searcher) shallowPass(d int, units *[][]int) error {
-	por := w.red != nil && w.red.por
+	por := w.red.POR()
 	var walk func(depth int, sleep uint64) error
 	walk = func(depth int, sleep uint64) error {
 		if w.s.stop.Load() {
@@ -126,14 +126,14 @@ func (w *searcher) shallowPass(d int, units *[][]int) error {
 		if depth > w.maxDepth {
 			w.maxDepth = depth
 		}
-		choices := w.e.settleAt(depth)
+		choices := w.e.SettleAt(depth)
 		if len(choices) == 0 || depth >= w.s.cfg.MaxDepth {
 			w.paths++
 			if len(choices) != 0 {
 				w.truncated++
 			}
 			if err := w.s.cfg.Check(w.e.events); err != nil {
-				w.s.recordFailure(w.e.path, w.e.desc, err)
+				w.s.recordFailure(w.e.Path, w.e.desc, err)
 				return errStopped
 			}
 			return nil
@@ -142,7 +142,7 @@ func (w *searcher) shallowPass(d int, units *[][]int) error {
 			var key [16]byte
 			if w.red != nil {
 				var permuted bool
-				key, permuted = w.red.stateKey(sleep)
+				key, permuted = w.red.StateKey(sleep)
 				if permuted {
 					w.symMerges++
 				}
@@ -155,29 +155,29 @@ func (w *searcher) shallowPass(d int, units *[][]int) error {
 			}
 		}
 		if depth == d {
-			*units = append(*units, append([]int(nil), w.e.path...))
+			*units = append(*units, append([]int(nil), w.e.Path...))
 			return nil
 		}
-		var earlier [64]uint64
+		var earlier []uint64
 		if por {
-			w.red.earlierMasks(choices, earlier[:len(choices)])
+			earlier = w.red.EarlierMasks(depth, choices)
 		}
 		m := w.e.save()
 		for i, c := range choices {
-			if por && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
+			if por && c.Sleeps(sleep) {
 				w.stepsSlept++
 				continue
 			}
 			var cAcc memsim.Access
-			if !c.start {
-				cAcc = w.e.pending[c.pid]
+			if por {
+				cAcc = w.e.Pending[c.PID]
 			}
-			if err := w.e.apply(c, i); err != nil {
+			if err := w.e.Step(c, i); err != nil {
 				return err
 			}
 			var childSleep uint64
 			if por {
-				childSleep = w.red.childSleep(sleep, earlier[i], choices, i, cAcc)
+				childSleep = w.red.ChildSleep(sleep, earlier[i], choices, i, cAcc)
 			}
 			if err := walk(depth+1, childSleep); err != nil {
 				return err
@@ -194,59 +194,35 @@ func (w *searcher) shallowPass(d int, units *[][]int) error {
 // children. The unit root was counted, claimed and (if failing) checked
 // by the shallow pass, so the expansion starts one level below it.
 func (w *searcher) runUnit(t task) error {
-	w.e.restore(w.root)
-	var sleep uint64
-	for step, idx := range t {
-		choices := w.e.settleAt(step)
-		if idx >= len(choices) {
-			return fmt.Errorf("explore: internal: unit choice %d out of range at depth %d", idx, step)
-		}
-		c := choices[idx]
-		var prefEarlier uint64
-		if w.red != nil && w.red.por {
-			// Refresh the canonical ranks at this node (the key bytes are
-			// discarded) so the recomputed sleep matches the shallow pass's.
-			w.red.stateKey(sleep)
-			var masks [64]uint64
-			w.red.earlierMasks(choices, masks[:len(choices)])
-			prefEarlier = masks[idx]
-		}
-		var cAcc memsim.Access
-		if !c.start {
-			cAcc = w.e.pending[c.pid]
-		}
-		if err := w.e.apply(c, idx); err != nil {
-			return err
-		}
-		if w.red != nil {
-			sleep = w.red.sleepRecompute(sleep, prefEarlier, choices, idx, cAcc)
-		}
+	sleep, err := w.replay(t, "unit")
+	if err != nil {
+		return err
 	}
-	por := w.red != nil && w.red.por
-	choices := w.e.settleAt(len(t))
-	var earlier [64]uint64
+	por := w.red.POR()
+	choices := w.e.SettleAt(len(t))
+	var earlier []uint64
 	if por {
 		// The unit root was claimed by the shallow pass; recompute its key
 		// here only to refresh the canonical ranks for the child loop.
-		w.red.stateKey(sleep)
-		w.red.earlierMasks(choices, earlier[:len(choices)])
+		w.red.StateKey(sleep)
+		earlier = w.red.EarlierMasks(len(t), choices)
 	}
 	m := w.e.save()
 	for i, c := range choices {
-		if por && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
+		if por && c.Sleeps(sleep) {
 			w.stepsSlept++
 			continue
 		}
 		var cAcc memsim.Access
-		if !c.start {
-			cAcc = w.e.pending[c.pid]
+		if por {
+			cAcc = w.e.Pending[c.PID]
 		}
-		if err := w.e.apply(c, i); err != nil {
+		if err := w.e.Step(c, i); err != nil {
 			return err
 		}
 		var childSleep uint64
 		if por {
-			childSleep = w.red.childSleep(sleep, earlier[i], choices, i, cAcc)
+			childSleep = w.red.ChildSleep(sleep, earlier[i], choices, i, cAcc)
 		}
 		if err := w.dfs(len(t)+1, childSleep); err != nil {
 			return err
@@ -435,7 +411,7 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 			return nil, err
 		}
 		counters.Add(xdelta(prev, w))
-		em.addTally(0, prevTel, w.telTally(), w.e.undoMax, w.maxDepth)
+		em.addTally(0, prevTel, w.telTally(), w.e.UndoMax, w.maxDepth)
 	}
 
 	writeSnap := func() error {
@@ -481,7 +457,7 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 			return nil, err
 		}
 		counters.Add(xdelta(prev, w))
-		em.addTally(0, prevTel, w.telTally(), w.e.undoMax, w.maxDepth)
+		em.addTally(0, prevTel, w.telTally(), w.e.UndoMax, w.maxDepth)
 		unitNs.Observe(0, time.Since(unitStart).Nanoseconds())
 		doneList = append(doneList, uint32(ui))
 		committed++

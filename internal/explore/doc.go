@@ -21,7 +21,8 @@
 //
 // Two engines enumerate the schedule tree. The backtracking engine (the
 // default for algorithms with a resumable tier) keeps one execution alive
-// per worker: process state lives in copyable resumable frames
+// per worker, on the statespace substrate it shares with internal/search:
+// process state lives in copyable resumable frames
 // (memsim.CloneResumable snapshots them per tree node) and shared memory
 // reverts through the machine's undo log (memsim.Machine.ApplyLogged and
 // Revert), so moving between adjacent paths retracts a step instead of
@@ -37,7 +38,7 @@
 // 128-bit hash of everything that determines its future: machine word
 // values, will-succeed LL reservations (memsim.Machine.LLState), each
 // scripted process's frame (encoded by content through
-// memsim.EncodeFrameState — heap addresses never enter the key), pending
+// memsim.AppendKeyFrameState — heap addresses never enter the key), pending
 // access, call count and script position, plus the Specification 4.1
 // monitor bits (whether a Signal has begun/completed, and whether each
 // open call began after the first completed Signal — so two states with

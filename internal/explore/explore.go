@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/memsim"
+	"repro/internal/statespace"
 	"repro/internal/telemetry"
 )
 
@@ -149,30 +150,8 @@ type Result struct {
 	Workers int
 }
 
-// choice is one scheduling decision: apply pid's pending access, start
-// pid's next scripted call, or — under an enabled FaultPolicy — inject a
-// fault at pid's pending access (crash the process, or apply its CAS and
-// drop the response).
-type choice struct {
-	pid   memsim.PID
-	start bool
-	fault memsim.FaultKind
-}
-
-// String renders the choice compactly: "p0" step, "p1+" call start,
-// "p0!" crash, "p0?" lost CAS.
-func (c choice) String() string {
-	switch c.fault {
-	case memsim.FaultCrash:
-		return fmt.Sprintf("p%d!", c.pid)
-	case memsim.FaultLostCAS:
-		return fmt.Sprintf("p%d?", c.pid)
-	}
-	if c.start {
-		return fmt.Sprintf("p%d+", c.pid)
-	}
-	return fmt.Sprintf("p%d", c.pid)
-}
+// choice is one scheduling decision (see statespace.Choice).
+type choice = statespace.Choice
 
 // Run exhaustively enumerates schedules on the configured engine (see
 // Engine; the default picks backtracking with state dedup whenever the
@@ -287,27 +266,27 @@ func replayPath(cfg Config, path []int) (*memsim.Execution, [][]choice, bool, er
 		choiceSets = append(choiceSets, choices)
 		c := choices[idx]
 		switch {
-		case c.fault == memsim.FaultCrash:
-			if _, err := exec.Crash(c.pid, cfg.Faults.Vol); err != nil {
+		case c.Fault == memsim.FaultCrash:
+			if _, err := exec.Crash(c.PID, cfg.Faults.Vol); err != nil {
 				exec.Close()
 				return nil, nil, false, err
 			}
-			progress[c.pid]-- // the crashed call restarts from the top
+			progress[c.PID]-- // the crashed call restarts from the top
 			faultsUsed++
-		case c.fault == memsim.FaultLostCAS:
-			if _, err := exec.StepLostCAS(c.pid); err != nil {
+		case c.Fault == memsim.FaultLostCAS:
+			if _, err := exec.StepLostCAS(c.PID); err != nil {
 				exec.Close()
 				return nil, nil, false, err
 			}
 			faultsUsed++
-		case c.start:
-			if err := exec.Start(c.pid, cfg.Scripts[c.pid][progress[c.pid]]); err != nil {
+		case c.Start:
+			if err := exec.Start(c.PID, cfg.Scripts[c.PID][progress[c.PID]]); err != nil {
 				exec.Close()
 				return nil, nil, false, err
 			}
-			progress[c.pid]++
+			progress[c.PID]++
 		default:
-			if _, err := exec.Step(c.pid); err != nil {
+			if _, err := exec.Step(c.PID); err != nil {
 				exec.Close()
 				return nil, nil, false, err
 			}
@@ -333,11 +312,11 @@ func appendFaultChoices(choices []choice, exec *memsim.Execution, fp memsim.Faul
 			continue
 		}
 		if fp.Kinds.Has(memsim.FaultCrash) {
-			choices = append(choices, choice{pid: p, fault: memsim.FaultCrash})
+			choices = append(choices, choice{PID: p, Fault: memsim.FaultCrash})
 		}
 		if fp.Kinds.Has(memsim.FaultLostCAS) && acc.Op == memsim.OpCAS &&
 			exec.Machine().Load(acc.Addr) == acc.Arg1 {
-			choices = append(choices, choice{pid: p, fault: memsim.FaultLostCAS})
+			choices = append(choices, choice{PID: p, Fault: memsim.FaultLostCAS})
 		}
 	}
 	return choices
@@ -367,11 +346,11 @@ func settle(exec *memsim.Execution, scripts map[memsim.PID][]memsim.CallKind, pr
 			}
 		}
 		if _, ok := exec.Pending(p); ok {
-			choices = append(choices, choice{pid: p})
+			choices = append(choices, choice{PID: p})
 			continue
 		}
 		if exec.Idle(p) && progress[p] < len(script) {
-			choices = append(choices, choice{pid: p, start: true})
+			choices = append(choices, choice{PID: p, Start: true})
 		}
 	}
 	return choices, nil

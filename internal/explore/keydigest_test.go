@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/memsim"
 	"repro/internal/signal"
+	"repro/internal/statespace"
 )
 
 // Key-byte pins. Checkpoint snapshots store state-key hashes, so a
@@ -28,9 +29,9 @@ func keyDigest(t *testing.T, cfg Config, reduce bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var red *reduction
+	var red *statespace.Reduction
 	if reduce {
-		red = newReduction(e)
+		red = statespace.NewReduction(e, statespace.Options{POR: true, Symmetry: true})
 	}
 	h := fnv.New128a()
 	var lenBuf [binary.MaxVarintLen64]byte
@@ -41,16 +42,15 @@ func keyDigest(t *testing.T, cfg Config, reduce bool) string {
 	nodes := 0
 	var walk func(depth int, sleep uint64)
 	walk = func(depth int, sleep uint64) {
-		choices := e.settleAt(depth)
+		choices := e.SettleAt(depth)
 		e.stateKey()
-		write(e.keyBuf)
+		write(e.KeyBuf)
 		var earlier []uint64
 		if red != nil {
-			red.stateKey(sleep)
-			write(e.keyBuf)
-			if red.por {
-				earlier = make([]uint64, len(choices))
-				red.earlierMasks(choices, earlier)
+			red.StateKey(sleep)
+			write(e.KeyBuf)
+			if red.POR() {
+				earlier = red.EarlierMasks(depth, choices)
 			}
 		}
 		nodes++
@@ -59,16 +59,16 @@ func keyDigest(t *testing.T, cfg Config, reduce bool) string {
 		}
 		m := e.save()
 		for i, c := range choices {
-			if earlier != nil && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
+			if earlier != nil && c.Sleeps(sleep) {
 				continue
 			}
-			cAcc := e.pending[c.pid]
-			if err := e.apply(c, i); err != nil {
+			cAcc := e.Pending[c.PID]
+			if err := e.Step(c, i); err != nil {
 				t.Fatal(err)
 			}
 			var child uint64
 			if earlier != nil {
-				child = red.childSleep(sleep, earlier[i], choices, i, cAcc)
+				child = red.ChildSleep(sleep, earlier[i], choices, i, cAcc)
 			}
 			walk(depth+1, child)
 			e.restore(m)

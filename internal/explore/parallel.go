@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/memsim"
+	"repro/internal/statespace"
 	"repro/internal/worksteal"
 )
 
@@ -109,8 +110,8 @@ type searcher struct {
 	s    *search
 	id   int
 	e    *bengine
-	red  *reduction // nil unless the search reduces
-	root *mark      // pristine initial state, for resetting between tasks
+	red  *statespace.Reduction // nil unless the search reduces
+	root *mark                 // pristine initial state, for resetting between tasks
 
 	paths      int
 	truncated  int
@@ -133,9 +134,22 @@ func newSearcher(s *search, id int) (*searcher, error) {
 	}
 	w := &searcher{s: s, id: id, e: e, root: e.save()}
 	if s.reduce {
-		w.red = newReduction(e)
+		w.red = statespace.NewReduction(e, statespace.Options{POR: true, Symmetry: true})
 	}
 	return w, nil
+}
+
+// replay rewinds the worker's engine to the initial state and replays the
+// prefix by choice index, returning the reached node's sleep set. what
+// names the prefix's kind in the out-of-range error.
+func (w *searcher) replay(t task, what string) (uint64, error) {
+	w.e.restore(w.root)
+	sleep, err := statespace.Replay(w.e, w.red, t)
+	var re *statespace.RangeError
+	if errors.As(err, &re) {
+		return 0, fmt.Errorf("explore: internal: %s %v", what, re)
+	}
+	return sleep, err
 }
 
 // runTask rewinds the worker's engine to the initial state, replays the
@@ -144,35 +158,11 @@ func newSearcher(s *search, id int) (*searcher, error) {
 // claimed, split) by the worker that produced the task, so it touches no
 // counters and no claims.
 func (w *searcher) runTask(t task) error {
-	w.e.restore(w.root)
-	var sleep uint64
-	for step, idx := range t {
-		choices := w.e.settleAt(step)
-		if idx >= len(choices) {
-			return fmt.Errorf("explore: internal: task choice %d out of range at depth %d", idx, step)
-		}
-		c := choices[idx]
-		var earlier uint64
-		if w.red != nil && w.red.por {
-			// Refresh the canonical ranks at this node (the key bytes are
-			// discarded) so the recomputed sleep matches the producer's.
-			w.red.stateKey(sleep)
-			var masks [64]uint64
-			w.red.earlierMasks(choices, masks[:len(choices)])
-			earlier = masks[idx]
-		}
-		var cAcc memsim.Access
-		if !c.start {
-			cAcc = w.e.pending[c.pid]
-		}
-		if err := w.e.apply(c, idx); err != nil {
-			return err
-		}
-		if w.red != nil {
-			sleep = w.red.sleepRecompute(sleep, earlier, choices, idx, cAcc)
-		}
+	sleep, err := w.replay(t, "task")
+	if err != nil {
+		return err
 	}
-	err := w.dfs(len(t), sleep)
+	err = w.dfs(len(t), sleep)
 	if w.s.em != nil {
 		w.ticks = 0
 		w.flushTelemetry()
@@ -202,14 +192,14 @@ func (w *searcher) dfs(depth int, sleep uint64) error {
 	if depth > w.maxDepth {
 		w.maxDepth = depth
 	}
-	choices := w.e.settleAt(depth)
+	choices := w.e.SettleAt(depth)
 	if len(choices) == 0 || depth >= w.s.cfg.MaxDepth {
 		w.paths++
 		if len(choices) != 0 {
 			w.truncated++
 		}
 		if err := w.s.cfg.Check(w.e.events); err != nil {
-			w.s.recordFailure(w.e.path, w.e.desc, err)
+			w.s.recordFailure(w.e.Path, w.e.desc, err)
 			return errStopped
 		}
 		return nil
@@ -218,7 +208,7 @@ func (w *searcher) dfs(depth int, sleep uint64) error {
 		var key [16]byte
 		if w.red != nil {
 			var permuted bool
-			key, permuted = w.red.stateKey(sleep)
+			key, permuted = w.red.StateKey(sleep)
 			if permuted {
 				w.symMerges++
 			}
@@ -230,12 +220,10 @@ func (w *searcher) dfs(depth int, sleep uint64) error {
 			return nil
 		}
 	}
-	por := w.red != nil && w.red.por
-	// The canonical ranks stateKey just computed are captured per node:
-	// child recursions overwrite the shared rank scratch.
-	var earlier [64]uint64
+	por := w.red.POR()
+	var earlier []uint64
 	if por {
-		w.red.earlierMasks(choices, earlier[:len(choices)])
+		earlier = w.red.EarlierMasks(depth, choices)
 	}
 	// Split only internal nodes whose children are not forced leaves (a
 	// leaf task would replay the whole path to do one check) and only
@@ -248,35 +236,33 @@ func (w *searcher) dfs(depth int, sleep uint64) error {
 	m := w.e.save()
 	first := true
 	for i, c := range choices {
-		if por && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
+		if por && c.Sleeps(sleep) {
 			// A sleeping process's subtree only contains schedules that
 			// commute into an earlier sibling's subtree; skip it. Counted
-			// at claimed nodes only, so the tally is deterministic. Fault
-			// choices never sleep: a sleep bit argues about the pid's
-			// ordinary step, not about crashing it.
+			// at claimed nodes only, so the tally is deterministic.
 			w.stepsSlept++
 			continue
 		}
 		if split && !first {
-			prefix := make(task, len(w.e.path)+1)
-			copy(prefix, w.e.path)
+			prefix := make(task, len(w.e.Path)+1)
+			copy(prefix, w.e.Path)
 			prefix[len(prefix)-1] = i
 			w.s.frontier.Submit(w.id, prefix)
 			continue
 		}
-		if c.fault != memsim.FaultNone {
+		if c.Fault != memsim.FaultNone {
 			w.faultBranches++
 		}
 		var cAcc memsim.Access
-		if !c.start {
-			cAcc = w.e.pending[c.pid]
+		if por {
+			cAcc = w.e.Pending[c.PID]
 		}
-		if err := w.e.apply(c, i); err != nil {
+		if err := w.e.Step(c, i); err != nil {
 			return err
 		}
 		var childSleep uint64
 		if por {
-			childSleep = w.red.childSleep(sleep, earlier[i], choices, i, cAcc)
+			childSleep = w.red.ChildSleep(sleep, earlier[i], choices, i, cAcc)
 		}
 		if err := w.dfs(depth+1, childSleep); err != nil {
 			return err

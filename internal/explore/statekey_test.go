@@ -1,10 +1,14 @@
 package explore
 
 import (
+	"fmt"
+	"hash/fnv"
+	"io"
 	"testing"
 
 	"repro/internal/memsim"
 	"repro/internal/signal"
+	"repro/internal/statespace"
 )
 
 // Differential state-key tests: the binary stateKey and the legacy
@@ -13,6 +17,45 @@ import (
 // equal binary keys, across every node of a bounded exploration tree.
 // This is the property the dedup table's claim-once determinism rests on
 // after the encoder swap.
+
+// stateKeyLegacy is the original reflective fmt-walk state key. It is the
+// oracle of the encoder-equivalence tests: the binary stateKey must merge
+// exactly the states this key merges, for every algorithm.
+func (e *bengine) stateKeyLegacy() [16]byte {
+	h := fnv.New128a()
+	for a := 0; a < e.Mach.Size(); a++ {
+		fmt.Fprintf(h, "w%d;", e.Mach.Load(memsim.Addr(a)))
+	}
+	for pid := 0; pid < e.N; pid++ {
+		if addr, ok := e.Mach.LLState(memsim.PID(pid)); ok {
+			fmt.Fprintf(h, "ll%d=%d;", pid, addr)
+		}
+	}
+	fmt.Fprintf(h, "sig%v,%v;", e.sigStarted, e.sigEnded)
+	if e.Faults.Enabled() {
+		fmt.Fprintf(h, "faults%d;", e.FaultsUsed)
+	}
+	for pid := 0; pid < e.N; pid++ {
+		p := memsim.PID(pid)
+		if e.Scripts[p] == nil {
+			continue
+		}
+		fmt.Fprintf(h, "p%d:%d,%d,%d,%v;", pid, e.Phase[p], e.calls[p], e.Progress[p],
+			e.Phase[p] != statespace.Idle && e.afterSigEnd[p])
+		if e.Phase[p] == statespace.Pending {
+			acc := e.Pending[p]
+			fmt.Fprintf(h, "a%d,%d,%d,%d;", acc.Op, acc.Addr, acc.Arg1, acc.Arg2)
+		}
+		if f := e.Frames[p]; f != nil {
+			io.WriteString(h, "f")
+			memsim.EncodeFrameState(h, f)
+			io.WriteString(h, ";")
+		}
+	}
+	var key [16]byte
+	copy(key[:], h.Sum(nil))
+	return key
+}
 
 // partitionConfig builds the per-algorithm workload the partition walk
 // quantifies over: two pollers, one signaler, bounded depth.
@@ -31,7 +74,7 @@ func partitionConfig(alg signal.Algorithm) Config {
 
 // keyWalk explores the schedule tree to maxDepth and checks at every node
 // that the legacy-key → binary-key relation stays a bijection. The binary
-// side uses the raw encoded key bytes (e.keyBuf after stateKey), not just
+// side uses the raw encoded key bytes (e.KeyBuf after stateKey), not just
 // the 128-bit hash, so an encoding that accidentally merged states would
 // be caught even if the hashes happened to collide the same way.
 func keyWalk(t *testing.T, e *bengine, maxDepth int) int {
@@ -41,10 +84,10 @@ func keyWalk(t *testing.T, e *bengine, maxDepth int) int {
 	nodes := 0
 	var walk func(depth int)
 	walk = func(depth int) {
-		choices := e.settleAt(depth)
+		choices := e.SettleAt(depth)
 		legacy := e.stateKeyLegacy()
 		e.stateKey()
-		bin := string(e.keyBuf)
+		bin := string(e.KeyBuf)
 		nodes++
 		if prev, ok := legacyToBin[legacy]; ok {
 			if prev != bin {
@@ -65,7 +108,7 @@ func keyWalk(t *testing.T, e *bengine, maxDepth int) int {
 		}
 		m := e.save()
 		for i, c := range choices {
-			if err := e.apply(c, i); err != nil {
+			if err := e.Step(c, i); err != nil {
 				t.Fatalf("apply: %v", err)
 			}
 			walk(depth + 1)
@@ -113,15 +156,15 @@ func TestStateKeyZeroAllocs(t *testing.T) {
 	// Warm up: settle and descend a couple of steps so frames are live,
 	// then exercise the key and snapshot paths once to size the scratch.
 	for depth := 0; depth < 3; depth++ {
-		choices := e.settleAt(depth)
+		choices := e.SettleAt(depth)
 		if len(choices) == 0 {
 			break
 		}
-		if err := e.apply(choices[0], 0); err != nil {
+		if err := e.Step(choices[0], 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.settleAt(3)
+	e.SettleAt(3)
 	e.stateKey()
 	m := e.save()
 	e.restore(m)

@@ -64,8 +64,8 @@ func (w *searcher) telTally() engineTally {
 		stepsSlept:    w.stepsSlept,
 		symMerges:     w.symMerges,
 		faultBranches: w.faultBranches,
-		poolHits:      w.e.poolHits,
-		poolMisses:    w.e.poolMisses,
+		poolHits:      w.e.marks.Hits,
+		poolMisses:    w.e.marks.Misses,
 	}
 }
 
@@ -96,6 +96,6 @@ func (w *searcher) flushTelemetry() {
 		return
 	}
 	cur := w.telTally()
-	em.addTally(w.id, w.flushed, cur, w.e.undoMax, w.maxDepth)
+	em.addTally(w.id, w.flushed, cur, w.e.UndoMax, w.maxDepth)
 	w.flushed = cur
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/errs"
 	"repro/internal/memsim"
 	"repro/internal/model"
+	"repro/internal/statespace"
 	"repro/internal/telemetry"
 	"repro/internal/worksteal"
 )
@@ -156,14 +157,15 @@ func expandUnits(cfg Config, d int) ([][]int, error) {
 	// The expansion mirrors the reduced tree exactly: a slept child is
 	// never a unit root (the search never walks it), so the unit list —
 	// like everything else — is a pure function of the configuration.
-	var red *reduction
+	var red *statespace.Reduction
 	if cfg.Reduce {
 		red = newReduction(e, cfg.Model)
 	}
+	por := red.POR()
 	var units [][]int
 	var walk func(depth int, prefix []int, sleep uint64) error
 	walk = func(depth int, prefix []int, sleep uint64) error {
-		choices := e.settle()
+		choices := e.SettleAt(depth)
 		if len(choices) == 0 || cfg.MaxDepth-depth == 0 {
 			return nil
 		}
@@ -171,32 +173,30 @@ func expandUnits(cfg Config, d int) ([][]int, error) {
 			units = append(units, append([]int(nil), prefix...))
 			return nil
 		}
-		var earlier [64]uint64
-		if red != nil && red.por {
-			red.stateKey(sleep)
-			red.earlierMasks(choices, earlier[:len(choices)])
+		var earlier []uint64
+		if por {
+			red.StateKey(sleep)
+			earlier = red.EarlierMasks(depth, choices)
 		}
 		m := e.save()
 		for i, c := range choices {
-			if red != nil && red.por && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
+			if por && c.Sleeps(sleep) {
 				continue
 			}
-			var cAcc memsim.Access
-			if red != nil && !c.start {
-				cAcc = e.pending[c.pid]
-			}
+			cAcc := e.Pending[c.PID]
 			if _, err := e.apply(c, i); err != nil {
 				return err
 			}
 			var childSleep uint64
-			if red != nil {
-				childSleep = red.sleepRecompute(sleep, earlier[i], choices, i, cAcc)
+			if por {
+				childSleep = red.ChildSleep(sleep, earlier[i], choices, i, cAcc)
 			}
 			if err := walk(depth+1, append(prefix, i), childSleep); err != nil {
 				return err
 			}
 			e.restore(m)
 		}
+		e.release(m)
 		return nil
 	}
 	if err := walk(0, nil, 0); err != nil {
@@ -421,7 +421,7 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 			return nil, err
 		}
 		counters.Add(delta(prev, w))
-		em.addTally(0, prevTel, w.telTally(), w.e.undoMax, w.maxDepth)
+		em.addTally(0, prevTel, w.telTally(), w.e.UndoMax, w.maxDepth)
 		unitNs.Observe(0, time.Since(unitStart).Nanoseconds())
 		doneList = append(doneList, uint32(ui))
 		committed++
@@ -460,7 +460,7 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		return nil, err
 	}
 	counters.Add(delta(prev, w))
-	em.addTally(0, prevTel, w.telTally(), w.e.undoMax, w.maxDepth)
+	em.addTally(0, prevTel, w.telTally(), w.e.UndoMax, w.maxDepth)
 	if !s.rootSet {
 		return nil, errors.New("search: internal: spine pass never answered the root")
 	}

@@ -64,7 +64,7 @@ func TestDeferredChildrenFold(t *testing.T) {
 				tail  []int
 			}
 			var claims []held
-			children := len(w.e.settleAt(0))
+			children := len(w.e.SettleAt(0))
 			for i := 0; i < children-1; i++ {
 				u, err := ComputeUnit(cfg, []int{i})
 				if err != nil {

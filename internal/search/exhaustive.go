@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/memsim"
+	"repro/internal/statespace"
 	"repro/internal/worksteal"
 )
 
@@ -324,8 +325,8 @@ type hunter struct {
 	s    *bnb
 	id   int
 	e    *sengine
-	red  *reduction // nil unless the search reduces
-	root *mark      // pristine initial state, for resetting between tasks
+	red  *statespace.Reduction // nil unless the search reduces
+	root *mark                 // pristine initial state, for resetting between tasks
 
 	paths      int
 	truncated  int
@@ -383,32 +384,13 @@ func newHunter(s *bnb, id int) (*hunter, error) {
 // the search result.
 func (w *hunter) runTask(t task) error {
 	w.e.restore(w.root)
-	var sleep uint64
-	for step, idx := range t {
-		choices := w.e.settleAt(step)
-		if idx >= len(choices) {
-			return fmt.Errorf("search: internal: task choice %d out of range at depth %d", idx, step)
-		}
-		c := choices[idx]
-		var earlier uint64
-		if w.red != nil && w.red.por {
-			// Refresh the canonical ranks at this node (the key bytes are
-			// discarded) so the recomputed sleep matches the producer's.
-			w.red.stateKey(sleep)
-			var masks [64]uint64
-			w.red.earlierMasks(choices, masks[:len(choices)])
-			earlier = masks[idx]
-		}
-		var cAcc memsim.Access
-		if w.red != nil && !c.start {
-			cAcc = w.e.pending[c.pid]
-		}
-		if _, err := w.e.apply(c, idx); err != nil {
-			return err
-		}
-		if w.red != nil {
-			sleep = w.red.sleepRecompute(sleep, earlier, choices, idx, cAcc)
-		}
+	sleep, err := statespace.Replay(w.e, w.red, t)
+	var re *statespace.RangeError
+	if errors.As(err, &re) {
+		return fmt.Errorf("search: internal: task %v", re)
+	}
+	if err != nil {
+		return err
 	}
 	cost, tail, err := w.dfs(len(t), sleep, len(t) == 0)
 	if w.s.live {
@@ -469,7 +451,7 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 	if depth > w.maxDepth {
 		w.maxDepth = depth
 	}
-	choices := w.e.settleAt(depth)
+	choices := w.e.SettleAt(depth)
 	budget := w.s.cfg.MaxDepth - depth
 	if len(choices) == 0 || budget == 0 {
 		// A leaf is scored, not memoized: its answer is trivial and each
@@ -486,7 +468,7 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 	key := memoKey{budget: budget}
 	if w.red != nil {
 		var merged bool
-		key.state, merged = w.red.stateKey(sleep)
+		key.state, merged = w.red.StateKey(sleep)
 		if fromEdge && merged {
 			// Counted per edge visit, like paths and prunes, so the tally
 			// is independent of which representative wins the claim race.
@@ -520,12 +502,10 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 		}
 		return entry.cost, entry.tail, nil
 	}
-	por := w.red != nil && w.red.por
-	// The canonical ranks stateKey just computed are captured per node:
-	// child recursions overwrite the shared rank scratch.
-	var earlier [64]uint64
+	por := w.red.POR()
+	var earlier []uint64
 	if por {
-		w.red.earlierMasks(choices, earlier[:len(choices)])
+		earlier = w.red.EarlierMasks(depth, choices)
 	}
 	// Publish sibling subtrees as prefetch tasks only while the frontier
 	// is starving, and never forced leaves (a leaf task would replay the
@@ -533,11 +513,11 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 	split := w.s.workers > 1 && len(choices) > 1 && budget > 1 && w.s.frontier.Hungry()
 	if split {
 		for i := 1; i < len(choices); i++ {
-			if por && choices[i].fault == memsim.FaultNone && sleep&(1<<uint(choices[i].pid)) != 0 {
+			if por && choices[i].Sleeps(sleep) {
 				continue
 			}
-			prefix := make(task, len(w.e.path)+1)
-			copy(prefix, w.e.path)
+			prefix := make(task, len(w.e.Path)+1)
+			copy(prefix, w.e.Path)
 			prefix[len(prefix)-1] = i
 			w.s.frontier.Submit(w.id, prefix)
 		}
@@ -556,21 +536,19 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 	}
 	base := len(w.deferred)
 	for i, c := range choices {
-		if por && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
+		if por && c.Sleeps(sleep) {
 			// A sleeping process's subtree only contains schedules that
 			// commute into an earlier sibling's subtree; skip it. Counted
-			// once per DAG node (only the claim winner walks children). A
-			// sleeping bit never silences the pid's fault choices: the bit
-			// argues about its ordinary step, not about crashing it.
+			// once per DAG node (only the claim winner walks children).
 			w.stepsSlept++
 			continue
 		}
-		if c.fault != memsim.FaultNone {
+		if c.Fault != memsim.FaultNone {
 			w.faultBranches++
 		}
 		var cAcc memsim.Access
-		if w.red != nil && !c.start {
-			cAcc = w.e.pending[c.pid]
+		if por {
+			cAcc = w.e.Pending[c.PID]
 		}
 		step, err := w.e.apply(c, i)
 		if err != nil {
@@ -578,7 +556,7 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 		}
 		var childSleep uint64
 		if por {
-			childSleep = w.red.childSleep(sleep, earlier[i], choices, i, cAcc)
+			childSleep = w.red.ChildSleep(sleep, earlier[i], choices, i, cAcc)
 		}
 		tailCost, tail, err := w.dfs(depth+1, childSleep, true)
 		if err != nil {
@@ -637,7 +615,7 @@ func (w *hunter) reconstructWitness(rootCost int) ([]int, error) {
 	remaining := rootCost
 	depth := 0
 	for {
-		choices := w.e.settleAt(depth)
+		choices := w.e.SettleAt(depth)
 		budget := w.s.cfg.MaxDepth - depth
 		if len(choices) == 0 || budget == 0 {
 			if remaining != 0 {
@@ -645,33 +623,31 @@ func (w *hunter) reconstructWitness(rootCost int) ([]int, error) {
 			}
 			return witness, nil
 		}
-		w.red.stateKey(sleep) // refresh the canonical ranks at this node
-		var earlier [64]uint64
-		if w.red.por {
-			w.red.earlierMasks(choices, earlier[:len(choices)])
+		w.red.StateKey(sleep) // refresh the canonical ranks at this node
+		por := w.red.POR()
+		var earlier []uint64
+		if por {
+			earlier = w.red.EarlierMasks(depth, choices)
 		}
 		m := w.e.save()
 		matched := false
 		for i, c := range choices {
-			if w.red.por && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
+			if por && c.Sleeps(sleep) {
 				continue
 			}
-			var cAcc memsim.Access
-			if !c.start {
-				cAcc = w.e.pending[c.pid]
-			}
+			cAcc := w.e.Pending[c.PID]
 			step, err := w.e.apply(c, i)
 			if err != nil {
 				return nil, err
 			}
 			var childSleep uint64
-			if w.red.por {
-				childSleep = w.red.childSleep(sleep, earlier[i], choices, i, cAcc)
+			if por {
+				childSleep = w.red.ChildSleep(sleep, earlier[i], choices, i, cAcc)
 			}
 			childCost := 0
-			if childChoices := w.e.settleAt(depth + 1); len(childChoices) != 0 && budget > 1 {
+			if childChoices := w.e.SettleAt(depth + 1); len(childChoices) != 0 && budget > 1 {
 				key := memoKey{budget: budget - 1}
-				key.state, _ = w.red.stateKey(childSleep)
+				key.state, _ = w.red.StateKey(childSleep)
 				switch entry := w.s.table.lookup(key); {
 				case entry == nil:
 					fb := &hunter{

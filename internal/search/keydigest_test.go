@@ -9,6 +9,7 @@ import (
 	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/signal"
+	"repro/internal/statespace"
 )
 
 // Key-byte pins. Checkpoint snapshots and unit results carry state-key
@@ -29,7 +30,7 @@ func keyDigest(t *testing.T, cfg Config, reduce bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var red *reduction
+	var red *statespace.Reduction
 	if reduce {
 		if red = newReduction(e, cfg.Model); red == nil {
 			t.Fatalf("%s asserts no reduction capability", cfg.Model.Name())
@@ -44,16 +45,15 @@ func keyDigest(t *testing.T, cfg Config, reduce bool) string {
 	nodes := 0
 	var walk func(depth int, sleep uint64)
 	walk = func(depth int, sleep uint64) {
-		choices := e.settleAt(depth)
+		choices := e.SettleAt(depth)
 		e.stateKey()
-		write(e.keyBuf)
+		write(e.KeyBuf)
 		var earlier []uint64
 		if red != nil {
-			red.stateKey(sleep)
-			write(e.keyBuf)
-			if red.por {
-				earlier = make([]uint64, len(choices))
-				red.earlierMasks(choices, earlier)
+			red.StateKey(sleep)
+			write(e.KeyBuf)
+			if red.POR() {
+				earlier = red.EarlierMasks(depth, choices)
 			}
 		}
 		nodes++
@@ -62,16 +62,16 @@ func keyDigest(t *testing.T, cfg Config, reduce bool) string {
 		}
 		m := e.save()
 		for i, c := range choices {
-			if earlier != nil && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
+			if earlier != nil && c.Sleeps(sleep) {
 				continue
 			}
-			cAcc := e.pending[c.pid]
+			cAcc := e.Pending[c.PID]
 			if _, err := e.apply(c, i); err != nil {
 				t.Fatal(err)
 			}
 			var child uint64
 			if earlier != nil {
-				child = red.childSleep(sleep, earlier[i], choices, i, cAcc)
+				child = red.ChildSleep(sleep, earlier[i], choices, i, cAcc)
 			}
 			walk(depth+1, child)
 			e.restore(m)

@@ -1,11 +1,15 @@
 package search
 
 import (
+	"fmt"
+	"hash/fnv"
+	"io"
 	"testing"
 
 	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/signal"
+	"repro/internal/statespace"
 )
 
 // Differential state-key tests for the search engine: the binary stateKey
@@ -14,6 +18,49 @@ import (
 // every cost model (the model accumulator's state is part of the key, so
 // each model exercises a different encoder path — DSM's empty state, the
 // coherence models' flattened sharer/owner/residue sections).
+
+// stateKeyLegacy is the original reflective fmt-walk state key, kept as
+// the oracle of the encoder-equivalence tests: the binary stateKey must
+// merge exactly the states this key merges, for every algorithm and model.
+func (e *sengine) stateKeyLegacy() [16]byte {
+	h := fnv.New128a()
+	for a := 0; a < e.Mach.Size(); a++ {
+		fmt.Fprintf(h, "w%d;", e.Mach.Load(memsim.Addr(a)))
+	}
+	for pid := 0; pid < e.N; pid++ {
+		if addr, ok := e.Mach.LLState(memsim.PID(pid)); ok {
+			fmt.Fprintf(h, "ll%d=%d;", pid, addr)
+		}
+	}
+	if e.Faults.Enabled() {
+		fmt.Fprintf(h, "faults%d;", e.FaultsUsed)
+	}
+	for pid := 0; pid < e.N; pid++ {
+		p := memsim.PID(pid)
+		if e.Scripts[p] == nil {
+			continue
+		}
+		kind := memsim.CallKind(0)
+		if e.Phase[p] != statespace.Idle {
+			kind = e.Kinds[p] // the in-flight call drives the poll-stop rule
+		}
+		fmt.Fprintf(h, "p%d:%d,%d,%d;", pid, e.Phase[p], e.Progress[p], kind)
+		if e.Phase[p] == statespace.Pending {
+			acc := e.Pending[p]
+			fmt.Fprintf(h, "a%d,%d,%d,%d;", acc.Op, acc.Addr, acc.Arg1, acc.Arg2)
+		}
+		if f := e.Frames[p]; f != nil {
+			io.WriteString(h, "f")
+			memsim.EncodeFrameState(h, f)
+			io.WriteString(h, ";")
+		}
+	}
+	io.WriteString(h, "m")
+	e.acc.(model.ModelStateEncoder).EncodeModelState(h)
+	var key [16]byte
+	copy(key[:], h.Sum(nil))
+	return key
+}
 
 func partitionConfig(alg signal.Algorithm, m model.Scorer) Config {
 	return Config{
@@ -41,10 +88,10 @@ func keyWalk(t *testing.T, e *sengine, maxDepth int) int {
 	nodes := 0
 	var walk func(depth int)
 	walk = func(depth int) {
-		choices := e.settleAt(depth)
+		choices := e.SettleAt(depth)
 		legacy := e.stateKeyLegacy()
 		e.stateKey()
-		bin := string(e.keyBuf)
+		bin := string(e.KeyBuf)
 		nodes++
 		if prev, ok := legacyToBin[legacy]; ok {
 			if prev != bin {
@@ -111,7 +158,7 @@ func TestSearchStateKeyZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			for depth := 0; depth < 3; depth++ {
-				choices := e.settleAt(depth)
+				choices := e.SettleAt(depth)
 				if len(choices) == 0 {
 					break
 				}
@@ -119,7 +166,7 @@ func TestSearchStateKeyZeroAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			e.settleAt(3)
+			e.SettleAt(3)
 			e.stateKey()
 			mk := e.save()
 			e.restore(mk)

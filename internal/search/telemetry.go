@@ -80,8 +80,8 @@ func (w *hunter) telTally() engineTally {
 		stepsSlept:    w.stepsSlept,
 		symMerges:     w.symMerges,
 		faultBranches: w.faultBranches,
-		poolHits:      w.e.poolHits,
-		poolMisses:    w.e.poolMisses,
+		poolHits:      w.e.marks.Hits,
+		poolMisses:    w.e.marks.Misses,
 	}
 }
 
@@ -116,6 +116,6 @@ func (w *hunter) flushTelemetry() {
 		return
 	}
 	cur := w.telTally()
-	em.addTally(w.id, w.flushed, cur, w.e.undoMax, w.maxDepth)
+	em.addTally(w.id, w.flushed, cur, w.e.UndoMax, w.maxDepth)
 	w.flushed = cur
 }
