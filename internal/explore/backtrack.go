@@ -126,12 +126,12 @@ func (e *bengine) endCalls() {
 }
 
 // Settle and SettleAt are the substrate's, after the call-end events.
-func (e *bengine) Settle() []statespace.Choice {
+func (e *bengine) Settle() []choice {
 	e.endCalls()
 	return e.Exec.Settle()
 }
 
-func (e *bengine) SettleAt(depth int) []statespace.Choice {
+func (e *bengine) SettleAt(depth int) []choice {
 	e.endCalls()
 	return e.Exec.SettleAt(depth)
 }
@@ -139,7 +139,7 @@ func (e *bengine) SettleAt(depth int) []statespace.Choice {
 // Step performs one scheduling decision on the substrate and logs it:
 // the event the Controller would emit, the call bookkeeping, the monitor
 // bits and the choice's description.
-func (e *bengine) Step(c statespace.Choice, idx int) error {
+func (e *bengine) Step(c choice, idx int) error {
 	acc, res, err := e.Apply(c, idx)
 	if err != nil {
 		return fmt.Errorf("explore: %w", err)
@@ -234,7 +234,6 @@ func (e *bengine) restore(m *mark) {
 func (e *bengine) stateKey() [16]byte {
 	b := e.Mach.AppendKeyState(e.KeyBuf[:0])
 	b = e.AppendGlobalKey(b)
-	b = e.AppendFaultsKey(b)
 	for pid := 0; pid < e.N; pid++ {
 		p := memsim.PID(pid)
 		if e.Scripts[p] == nil {
@@ -248,9 +247,14 @@ func (e *bengine) stateKey() [16]byte {
 	return memsim.HashKey128(b)
 }
 
-// AppendGlobalKey appends the specification-monitor bits.
+// AppendHeadKey appends nothing: the explorer's fields follow memory.
+func (e *bengine) AppendHeadKey(b []byte) []byte { return b }
+
+// AppendGlobalKey appends the specification-monitor bits and the fault
+// budget used.
 func (e *bengine) AppendGlobalKey(b []byte) []byte {
-	return append(b, statespace.BoolBit(e.sigStarted)|statespace.BoolBit(e.sigEnded)<<1)
+	b = append(b, statespace.BoolBit(e.sigStarted)|statespace.BoolBit(e.sigEnded)<<1)
+	return e.AppendFaultsKey(b)
 }
 
 // AppendProcKey appends p's open-call-after-first-Signal bit and its call

@@ -31,7 +31,7 @@ func keyDigest(t *testing.T, cfg Config, reduce bool) string {
 	}
 	var red *statespace.Reduction
 	if reduce {
-		red = statespace.NewReduction(e, statespace.Options{POR: true, Symmetry: true})
+		red = statespace.NewReduction(e, true, true)
 	}
 	h := fnv.New128a()
 	var lenBuf [binary.MaxVarintLen64]byte

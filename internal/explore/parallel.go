@@ -134,7 +134,7 @@ func newSearcher(s *search, id int) (*searcher, error) {
 	}
 	w := &searcher{s: s, id: id, e: e, root: e.save()}
 	if s.reduce {
-		w.red = statespace.NewReduction(e, statespace.Options{POR: true, Symmetry: true})
+		w.red = statespace.NewReduction(e, true, true)
 	}
 	return w, nil
 }

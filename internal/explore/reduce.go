@@ -38,7 +38,7 @@ import (
 //	      read-class on the same address — steps never order against other
 //	      calls' starts (those starts are in the common past), so only
 //	      memory effects and the completion latches above matter.
-func (e *bengine) IndepAfterApply(u, c statespace.Choice, cAcc memsim.Access) bool {
+func (e *bengine) IndepAfterApply(u, c choice, cAcc memsim.Access) bool {
 	// Fault choices are conservatively dependent with everything: a crash
 	// rewinds call bookkeeping and (under VolOwned) rewrites a whole
 	// module, and a lost CAS decouples the memory effect from the frame's

@@ -166,6 +166,10 @@ func (e *sengine) stateKey() [16]byte {
 	return memsim.HashKey128(b)
 }
 
+// AppendHeadKey appends the fault budget used: the searcher's reduced
+// keys have always carried it right after the sorted-mask prefix.
+func (e *sengine) AppendHeadKey(b []byte) []byte { return e.AppendFaultsKey(b) }
+
 // AppendGlobalKey appends nothing: the search has no specification
 // monitor.
 func (e *sengine) AppendGlobalKey(b []byte) []byte { return b }

@@ -37,11 +37,7 @@ import (
 // Returns nil when neither applies (the caller falls back to the plain
 // engine).
 func newReduction(e *sengine, scorer model.Scorer) *statespace.Reduction {
-	r := statespace.NewReduction(e, statespace.Options{
-		POR:         model.OrderInvariantCost(scorer),
-		Symmetry:    model.PermutationInvariantCost(scorer),
-		FaultsFirst: true,
-	})
+	r := statespace.NewReduction(e, model.OrderInvariantCost(scorer), model.PermutationInvariantCost(scorer))
 	if !r.POR() && !r.Symmetric() {
 		return nil
 	}

@@ -56,10 +56,12 @@ type Engine interface {
 	// consumed it (unused when c is a start).
 	IndepAfterApply(u, c Choice, cAcc memsim.Access) bool
 
-	// AppendGlobalKey appends the engine's whole-state key fields (after
-	// memory and reservations), AppendProcKey its per-process
-	// fields (after the phase byte), and AppendTailKey the fields that
-	// end the key.
+	// The reduced key carries the engine's own fields at four places:
+	// AppendHeadKey right after the sorted-mask prefix, AppendGlobalKey
+	// after memory and reservations, AppendProcKey in each process
+	// section (after the phase byte), and AppendTailKey at the end. Where
+	// each field sits is part of the key bytes stored snapshots pin.
+	AppendHeadKey(b []byte) []byte
 	AppendGlobalKey(b []byte) []byte
 	AppendProcKey(b []byte, p memsim.PID) []byte
 	AppendTailKey(b []byte) []byte
@@ -87,8 +89,6 @@ type Reduction struct {
 	sym *memsim.Symmetry
 	por bool // sleep sets active (whole-mask uint64: needs n <= 64)
 
-	faultsFirst bool // see Options.FaultsFirst
-
 	// sortedMask is the per-state set of groups being sorted, read at call
 	// time by the pre-built norm closures.
 	sortedMask uint64
@@ -112,22 +112,13 @@ type Reduction struct {
 	earlier [][]uint64
 }
 
-// Options selects the parts of a Reduction.
-type Options struct {
-	POR      bool // sleep sets (when the process count fits a uint64 mask)
-	Symmetry bool // PID-symmetry canonicalization (when the instance declares usable groups)
-	// FaultsFirst places the fault budget right after the sorted-mask
-	// prefix of the reduced key instead of after the engine's global
-	// fields. The searcher's reduced keys have always been laid out that
-	// way, and stored snapshots pin the bytes.
-	FaultsFirst bool
-}
-
-// NewReduction builds the reduction state for eng's execution.
-func NewReduction(eng Engine, opts Options) *Reduction {
+// NewReduction builds the reduction state for eng's execution: sleep sets
+// when por (and the process count fits a uint64 mask), PID symmetry when
+// symmetric and the instance declares usable groups.
+func NewReduction(eng Engine, por, symmetric bool) *Reduction {
 	x := eng.exec()
-	r := &Reduction{x: x, eng: eng, por: opts.POR && x.N <= 64, faultsFirst: opts.FaultsFirst}
-	if !opts.Symmetry {
+	r := &Reduction{x: x, eng: eng, por: por && x.N <= 64}
+	if !symmetric {
 		return r
 	}
 	scripted := func(p memsim.PID) bool { return x.Scripts[p] != nil }
@@ -339,11 +330,11 @@ func (r *Reduction) onlyAddressFreeSorted() bool {
 }
 
 // StateKey builds the reduced canonical key for the current post-settle
-// state: the sorted-mask prefix, machine words outside sorted rows, LL
-// reservations of processes outside sorted groups, the engine's global
-// fields, the fault budget (see Options.FaultsFirst), per-process sections (with sleep bits) for
-// processes outside sorted groups, the sorted member blocks of each
-// sorted group, and the engine's tail fields. As a side effect it
+// state: the sorted-mask prefix, the engine's head fields, machine words
+// outside sorted rows, LL reservations of processes outside sorted
+// groups, the engine's global fields, per-process sections (with sleep
+// bits) for processes outside sorted groups, the sorted member blocks of
+// each sorted group, and the engine's tail fields. As a side effect it
 // refreshes the canonical ranks at this node (consumed by EarlierMasks).
 // merged reports whether some sorted group held two distinct member
 // blocks — the canonical encoding collapsed a PID-permutation orbit of
@@ -399,9 +390,7 @@ func (r *Reduction) StateKey(sleep uint64) (key [16]byte, merged bool) {
 	}
 	b := x.KeyBuf[:0]
 	b = binary.AppendUvarint(b, mask)
-	if r.faultsFirst {
-		b = x.AppendFaultsKey(b)
-	}
+	b = r.eng.AppendHeadKey(b)
 	for a := 0; a < x.Mach.Size(); a++ {
 		if mask != 0 {
 			if ag, _, _, isRole := r.sym.RoleAddr(memsim.Addr(a)); isRole && mask&(1<<uint(ag)) != 0 {
@@ -423,9 +412,6 @@ func (r *Reduction) StateKey(sleep uint64) (key [16]byte, merged bool) {
 		}
 	}
 	b = r.eng.AppendGlobalKey(b)
-	if !r.faultsFirst {
-		b = x.AppendFaultsKey(b)
-	}
 	for pid := 0; pid < x.N; pid++ {
 		p := memsim.PID(pid)
 		if x.Scripts[p] == nil || inSorted(p) {
