@@ -401,9 +401,19 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, errs.Failuref(errs.CodeNotFound, "reprod: no experiment %q", id))
 }
 
+// maxJobBody bounds a submitted job description. A Spec encodes in a few
+// hundred bytes; the bound keeps a hostile body from growing the
+// decoder's buffer without limit.
+const maxJobBody = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec jobspec.Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody)).Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, errs.Failuref(errs.CodeInvalid, "reprod: job body exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeErr(w, errs.Failuref(errs.CodeInvalid, "reprod: bad job body: %v", err))
 		return
 	}

@@ -203,6 +203,38 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// TestOversizeBodyRejected: a 2 MiB submission is refused with a 4xx
+// before the decoder buffers it whole, and the server goes on serving: a
+// normal durable job submitted next finishes verified.
+func TestOversizeBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir())
+	body := `{"kind":"worstcase","alg":"` + strings.Repeat("a", 2<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rejected map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&rejected); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("oversize body: status %d, want 4xx", resp.StatusCode)
+	}
+	if !strings.Contains(rejected["error"], "exceeds") {
+		t.Fatalf("oversize body: error %q does not name the bound", rejected["error"])
+	}
+
+	spec := jobspec.Spec{Kind: jobspec.KindWorstcase, Alg: "queue", Waiters: 2, Polls: 2, Depth: 10}
+	var created JobView
+	if code := postJSON(t, ts.URL+"/api/v1/jobs", spec, &created); code != http.StatusAccepted {
+		t.Fatalf("submit after oversize body: status %d", code)
+	}
+	if v := awaitTerminal(t, ts.URL, created.ID); v.Status != JobDone || !v.Verified {
+		t.Fatalf("job after oversize body ended %s (verified %v): %s", v.Status, v.Verified, v.Error)
+	}
+}
+
 // TestCancelResumeRoundTrip: a durable job canceled early resumes (from
 // its snapshot if one committed, from scratch otherwise) and finishes
 // with the exact document of an uninterrupted run.
