@@ -9,7 +9,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/errs"
 	"repro/internal/jobspec"
 )
@@ -264,6 +266,42 @@ func TestShardedStopResume(t *testing.T) {
 	}
 	got := mustRun(t, append(args, "-resume")...)
 	if got != full {
+		t.Fatalf("resumed sharded stdout drifted:\n got:\n%s want:\n%s", got, full)
+	}
+}
+
+// TestShardedStopFlushesStaged: a coordinator stopped with results staged
+// since its last write writes them before it exits, as its interrupt
+// message promises. The committer's clock steps one millisecond per
+// reading, so after the first result's write (one step) the next is due
+// only ten steps of results later, and results two and three are staged
+// when -stop-after 3 stops the run.
+func TestShardedStopFlushesStaged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	now := time.Unix(0, 0)
+	commitClock = func() time.Time {
+		now = now.Add(time.Millisecond)
+		return now
+	}
+	t.Cleanup(func() { commitClock = nil })
+	base := []string{"-alg", "flag", "-n", "2", "-depth", "10", "-shards", "2"}
+	full := mustRun(t, base...)
+	ck := filepath.Join(t.TempDir(), "run.rpck")
+	args := append(append([]string(nil), base...), "-checkpoint", ck)
+	if err := run(append(args, "-stop-after", "3"), io.Discard, io.Discard); !errs.IsInterrupt(err) {
+		t.Fatalf("-stop-after returned %v, want an Interrupt", err)
+	}
+	snap, err := checkpoint.Read(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Done) < 3 {
+		t.Fatalf("snapshot lists %d completed units, want at least 3", len(snap.Done))
+	}
+	commitClock = nil
+	if got := mustRun(t, append(args, "-resume")...); got != full {
 		t.Fatalf("resumed sharded stdout drifted:\n got:\n%s want:\n%s", got, full)
 	}
 }

@@ -6,9 +6,10 @@ package main
 // pure functions of (flag set, prefix) — see internal/search/sharded.go —
 // so the merged result is deterministic for any shard count and any
 // assignment of units to workers. With -checkpoint the coordinator
-// snapshots its accumulated (entries, counters, done set) after every
-// completed unit, so a killed coordinator resumes without recomputing
-// finished units; in-flight worker units are simply recomputed.
+// snapshots its accumulated (entries, counters, done set) on the
+// committer's measured cadence and whenever it stops, so a killed
+// coordinator resumes without recomputing the units its last snapshot
+// holds; in-flight and unwritten units are simply recomputed.
 
 import (
 	"encoding/json"
@@ -19,6 +20,7 @@ import (
 	"os/exec"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/errs"
@@ -210,10 +212,12 @@ func runCoordinator(cfg search.Config, spec jobspec.Spec, opts shardOpts, errOut
 		}
 	}
 
-	writeSnap := func() error {
-		if opts.checkpoint == "" {
-			return nil
-		}
+	// Completed units are staged and written on the committer's measured
+	// cadence (see internal/checkpoint): workers keep computing while the
+	// coordinator writes, so the work a write is weighed against is the
+	// wall time between results.
+	ckc := checkpoint.NewCommitter(commitClock)
+	persist := func() error {
 		snap := &checkpoint.Snapshot{
 			Kind:        checkpoint.KindSearch,
 			Fingerprint: fp,
@@ -284,6 +288,8 @@ func runCoordinator(cfg search.Config, spec jobspec.Spec, opts shardOpts, errOut
 		completed := 0
 		interrupted := false
 		var failure error
+		canWrite := opts.checkpoint != "" // false once a write fails
+		mark := ckc.Begin()
 		for out := range results {
 			if out.err != nil {
 				if failure == nil {
@@ -296,12 +302,16 @@ func runCoordinator(cfg search.Config, spec jobspec.Spec, opts shardOpts, errOut
 			entries = append(entries, out.res.Entry)
 			doneList = append(doneList, uint32(out.idx))
 			completed++
-			if err := writeSnap(); err != nil {
-				if failure == nil {
-					failure = err
+			mark = mark.Add(ckc.Commit(mark))
+			if canWrite && ckc.Due() {
+				if err := ckc.Write(persist); err != nil {
+					canWrite = false
+					if failure == nil {
+						failure = err
+					}
+					stop()
+					continue
 				}
-				stop()
-				continue
 			}
 			if opts.stopAfter > 0 && completed >= opts.stopAfter {
 				interrupted = true
@@ -315,6 +325,13 @@ func runCoordinator(cfg search.Config, spec jobspec.Spec, opts shardOpts, errOut
 			}
 		}
 		stop()
+		// Every completed unit is a finished result, whatever stopped the
+		// run, so the staged ones are written before it returns.
+		if canWrite {
+			if err := ckc.Flush(persist); err != nil && failure == nil {
+				failure = err
+			}
+		}
 		for _, w := range workers {
 			if err := w.shutdown(); err != nil && failure == nil && !interrupted {
 				failure = fmt.Errorf("shard worker exit: %w", err)
@@ -331,6 +348,10 @@ func runCoordinator(cfg search.Config, spec jobspec.Spec, opts shardOpts, errOut
 
 	return search.MergeShardedState(cfg, entries, counters)
 }
+
+// commitClock is the clock the coordinator's snapshot committer reads
+// (nil means time.Now); tests replace it to pace writes deterministically.
+var commitClock func() time.Time
 
 func unitsEqual(a, b [][]int) bool {
 	if len(a) != len(b) {

@@ -12,10 +12,19 @@
 // misparse) followed by one little-endian body. Write is atomic: the
 // snapshot lands under a temporary name, is fsynced, and renames over
 // the target, so a crash mid-write leaves the previous snapshot intact.
+//
+// When to write is the Committer's business (commit.go). A snapshot
+// rewrites the whole table, so durable runs do not write after every
+// unit: they stage committed units and write once the staged units have
+// run at least ten times as long as the previous write took, plus when a
+// run stops or ends. Snapshot I/O stays near a tenth of a run at any
+// table size; a kill loses at most the staged units, about ten write
+// durations of work, which a resumed run redoes.
 package checkpoint
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -23,7 +32,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/errs"
 )
@@ -141,11 +150,11 @@ func (s *Snapshot) DoneSet() map[uint32]bool {
 // SortEntries orders Entries canonically (by state bytes, then budget)
 // so identical table contents serialize to identical bytes.
 func (s *Snapshot) SortEntries() {
-	sort.Slice(s.Entries, func(i, j int) bool {
-		if c := bytes.Compare(s.Entries[i].State[:], s.Entries[j].State[:]); c != 0 {
-			return c < 0
+	slices.SortFunc(s.Entries, func(a, b Entry) int {
+		if c := bytes.Compare(a.State[:], b.State[:]); c != 0 {
+			return c
 		}
-		return s.Entries[i].Budget < s.Entries[j].Budget
+		return cmp.Compare(a.Budget, b.Budget)
 	})
 }
 
@@ -268,6 +277,7 @@ func decode(raw []byte, path string) (*Snapshot, error) {
 
 func encodeBody(s *Snapshot) ([]byte, error) {
 	var b bytes.Buffer
+	b.Grow(bodySize(s))
 	b.WriteByte(byte(s.Kind))
 	if err := putString(&b, s.Fingerprint); err != nil {
 		return nil, err
@@ -312,6 +322,23 @@ func encodeBody(s *Snapshot) ([]byte, error) {
 		putI64(&b, c.Value)
 	}
 	return b.Bytes(), nil
+}
+
+// bodySize is the exact length encodeBody produces for s, so the buffer
+// is allocated once.
+func bodySize(s *Snapshot) int {
+	n := 1 + 4 + len(s.Fingerprint) + 8 + 4 + 4 + 4*len(s.Done) + 7*8 + 4 + 4
+	for _, u := range s.Units {
+		n += 4 + 4*len(u)
+	}
+	n += len(s.Entries) * entryMinSize
+	for _, e := range s.Entries {
+		n += 4 * len(e.Tail)
+	}
+	for _, c := range s.Telemetry {
+		n += 4 + len(c.Name) + 8
+	}
+	return n
 }
 
 func decodeBody(r *bytes.Reader, v uint16) (*Snapshot, error) {

@@ -22,10 +22,11 @@ import (
 // plain engine would, and emits each internal shard-depth node it wins
 // as one unit. Units then commit sequentially (replay the prefix purely,
 // expand the children — the unit root itself was already counted and
-// claimed by the shallow pass), with a snapshot of the claim table and
-// counters between commits. The persisted unit list doubles as the
-// record of the shallow pass: a resumed run never re-runs it, which is
-// what keeps every claim and every tally exactly-once across kills.
+// claimed by the shallow pass), with snapshots of the claim table and
+// counters between commits on the measured write cadence. The persisted
+// unit list doubles as the record of the shallow pass: a resumed run
+// never re-runs it, which is what keeps every claim and every tally
+// exactly-once across kills.
 //
 // The equivalence argument is the explorer's own worker-independence
 // argument re-applied: the explored set is the set of distinct
@@ -36,7 +37,14 @@ import (
 // a property violation aborts mid-traversal, so its partial counters
 // (though not the violation itself) depend on the decomposition.
 
-// Checkpoint configures a durable exploration.
+// Checkpoint configures a durable exploration. Units run one at a time
+// on a single worker, whatever Config.Workers says (it only fills the
+// Result's Workers field), and snapshots follow the same write policy as
+// search.Checkpoint: the shallow pass is written at once, committed
+// units are staged and written once they have run at least ten times as
+// long as the previous write took, when StopAfter is reached, on an
+// interrupt seen between units, and at the end. A kill, or an interrupt
+// inside a unit, loses the staged units, which a resumed run redoes.
 type Checkpoint struct {
 	// Path is the snapshot file (required).
 	Path string
@@ -46,15 +54,14 @@ type Checkpoint struct {
 	// ShardDepth is the unit prefix depth. Zero means 3; the value is
 	// clamped to MaxDepth-1.
 	ShardDepth int
-	// Every writes a snapshot after every Every committed units (zero
-	// means 1).
-	Every int
 	// Resume loads the snapshot at Path instead of starting fresh.
 	Resume bool
 	// StopAfter, when positive, interrupts the run after that many units
 	// committed in this invocation (deterministic kill for tests).
 	StopAfter int
 	// Interrupt, when non-nil, aborts the run when it becomes readable.
+	// Seen between units it first writes the staged units; inside a unit
+	// it writes nothing.
 	Interrupt <-chan struct{}
 }
 
@@ -287,21 +294,17 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	if d < 0 {
 		d = 0
 	}
-	every := ck.Every
-	if every <= 0 {
-		every = 1
-	}
 	fp := Fingerprint(ck.Tag, cfg, d, dedup, reduce)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Telemetry in checkpointed mode is committed-unit-granular, exactly
-	// as in search (see internal/search/checkpointed.go): the engine
-	// runs without a live registry (s.em stays nil) and tally deltas
-	// land on the registry only when the unit that produced them — or
-	// the shallow pass — commits to disk.
+	// Telemetry in checkpointed mode is write-granular, exactly as in
+	// search (see internal/search/checkpointed.go): the engine runs
+	// without a live registry (s.em stays nil) and tally deltas land on
+	// the registry only when the write that persists their units — or
+	// the shallow pass — commits.
 	reg := cfg.Telemetry
 	em := newEngineMetrics(reg)
 	worksteal.NewMetrics(reg) // frontier families at zero (single-worker)
@@ -362,6 +365,10 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		return nil, errs.Interrupted(fallback)
 	}
 
+	// Units are staged between writes, telemetry included, exactly as in
+	// search: a mid-unit abort leaves the registry at the last write.
+	// The shallow pass's tally lands with the first write.
+	written := w.telTally()
 	if ck.Resume {
 		snap, err := checkpoint.Read(ck.Path)
 		if err != nil {
@@ -403,7 +410,6 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		// counted and claimed now, once; the snapshot written below is the
 		// only record of it a resumed run ever needs.
 		prev := xgrab(w)
-		prevTel := w.telTally()
 		if err := w.shallowPass(d, &units); err != nil {
 			if errors.Is(err, errStopped) {
 				return cause("explore: interrupted during shallow pass (nothing persisted)")
@@ -411,10 +417,12 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 			return nil, err
 		}
 		counters.Add(xdelta(prev, w))
-		em.addTally(0, prevTel, w.telTally(), w.e.UndoMax, w.maxDepth)
 	}
 
-	writeSnap := func() error {
+	ckc := checkpoint.NewCommitter(commitClock)
+	persist := func() error {
+		em.addTally(0, written, w.telTally(), w.e.UndoMax, w.maxDepth)
+		written = w.telTally()
 		snap := &checkpoint.Snapshot{
 			Kind:        checkpoint.KindExplore,
 			Fingerprint: fp,
@@ -426,61 +434,62 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		if s.table != nil {
 			snap.Entries = s.table.export()
 		}
-		// The write-instrumentation families necessarily lag one commit
-		// (the sample is taken inside the body this write persists); the
-		// engine families are exact at every commit.
+		// The write-instrumentation families necessarily lag one write
+		// (the sample is taken inside the body this write persists);
+		// the engine families are exact at every write.
 		snap.Telemetry = checkpoint.SampleCounters(reg)
 		snap.SortEntries()
 		return ckm.Write(ck.Path, snap)
 	}
 	if !ck.Resume {
-		if err := writeSnap(); err != nil {
+		if err := ckc.Write(persist); err != nil {
 			return nil, err
 		}
 	}
 
-	committed, unsnapped := 0, 0
+	committed := 0
 	for ui := range units {
 		if doneSet[uint32(ui)] {
 			continue
 		}
 		if s.stop.Load() {
+			if err := ckc.Flush(persist); err != nil {
+				return nil, err
+			}
 			return cause("explore: interrupted between units")
 		}
 		prev := xgrab(w)
-		prevTel := w.telTally()
-		unitStart := time.Now()
+		unitStart := ckc.Begin()
 		if err := w.runUnit(task(units[ui])); err != nil {
 			if errors.Is(err, errStopped) {
+				// The staged units stay unwritten: the claim table now holds
+				// the aborted unit's partial claims.
 				return cause("explore: interrupted mid-unit")
 			}
 			return nil, err
 		}
 		counters.Add(xdelta(prev, w))
-		em.addTally(0, prevTel, w.telTally(), w.e.UndoMax, w.maxDepth)
-		unitNs.Observe(0, time.Since(unitStart).Nanoseconds())
+		unitNs.Observe(0, ckc.Commit(unitStart).Nanoseconds())
 		doneList = append(doneList, uint32(ui))
 		committed++
-		unsnapped++
-		if unsnapped >= every {
-			if err := writeSnap(); err != nil {
-				return nil, err
-			}
-			unsnapped = 0
-		}
 		if ck.StopAfter > 0 && committed >= ck.StopAfter {
-			if unsnapped > 0 {
-				if err := writeSnap(); err != nil {
-					return nil, err
-				}
+			if err := ckc.Flush(persist); err != nil {
+				return nil, err
 			}
 			return nil, errs.Interrupted(fmt.Sprintf("explore: stopped after %d units as requested", committed))
 		}
-	}
-	if unsnapped > 0 {
-		if err := writeSnap(); err != nil {
-			return nil, err
+		if ckc.Due() {
+			if err := ckc.Write(persist); err != nil {
+				return nil, err
+			}
 		}
+	}
+	if err := ckc.Flush(persist); err != nil {
+		return nil, err
 	}
 	return finish(nil)
 }
+
+// commitClock is the clock the snapshot committer reads (nil means
+// time.Now); tests replace it to pace writes deterministically.
+var commitClock func() time.Time

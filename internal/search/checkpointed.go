@@ -22,8 +22,8 @@ import (
 // computes the shallow tree and links the memoized units into the final
 // answer. Snapshots are written only between committed units, so a
 // snapshot always holds a consistent table (every entry fully computed)
-// plus the exact counter deltas of the committed units; a resumed run
-// replays nothing, skips the committed units, and finishes with a Result
+// plus the exact counter deltas of the units it lists; a resumed run
+// replays nothing, skips those units, and finishes with a Result
 // byte-identical to an uninterrupted run's.
 //
 // Why the totals cannot drift across kills: every Result field is
@@ -37,7 +37,14 @@ import (
 // Unit roots are claimed as prefetch visits (never adopted, never
 // counted), so the partition itself leaves no fingerprint in the tallies.
 
-// Checkpoint configures a durable run.
+// Checkpoint configures a durable run. Units run one at a time on a
+// single worker, whatever Config.Workers says (it only fills the
+// Result's Workers field). Snapshots follow checkpoint.Committer's write
+// policy: committed units are staged and written once they have run at
+// least ten times as long as the previous write took, when StopAfter is
+// reached, on an interrupt seen between units, and at the end. A kill,
+// or an interrupt inside a unit, loses the staged units — up to about
+// ten write durations of work — and a resumed run redoes them.
 type Checkpoint struct {
 	// Path is the snapshot file (required).
 	Path string
@@ -47,9 +54,6 @@ type Checkpoint struct {
 	// ShardDepth is the unit prefix depth. Zero means 3; the value is
 	// clamped to MaxDepth-1.
 	ShardDepth int
-	// Every writes a snapshot after every Every committed units (zero
-	// means 1, i.e. after each unit).
-	Every int
 	// Resume loads the snapshot at Path instead of starting fresh; the
 	// snapshot's kind and fingerprint must match.
 	Resume bool
@@ -57,8 +61,10 @@ type Checkpoint struct {
 	// committed in this invocation (a deterministic kill, for tests and
 	// smokes). The final snapshot is written before returning.
 	StopAfter int
-	// Interrupt, when non-nil, aborts the run when it becomes readable;
-	// the last committed snapshot remains valid for resumption.
+	// Interrupt, when non-nil, aborts the run when it becomes readable.
+	// Seen between units it first writes the staged units; inside a unit
+	// it writes nothing. Either way the snapshot on disk stays valid for
+	// resumption.
 	Interrupt <-chan struct{}
 }
 
@@ -206,7 +212,8 @@ func expandUnits(cfg Config, d int) ([][]int, error) {
 }
 
 // export drains the table into checkpoint entries (every entry must be
-// complete, which holds between units: no worker is running).
+// complete, which holds between units: no worker is running). Entries
+// alias the published tails, which are immutable.
 func (t *memoTable) export() []checkpoint.Entry {
 	var out []checkpoint.Entry
 	for i := range t.stripes {
@@ -220,7 +227,7 @@ func (t *memoTable) export() []checkpoint.Entry {
 				State:   sl.state,
 				Budget:  int(sl.budget) - 1,
 				Cost:    sl.entry.cost,
-				Tail:    append([]int(nil), sl.entry.tail...),
+				Tail:    sl.entry.tail,
 				Adopted: sl.entry.adopted,
 			})
 		}
@@ -291,10 +298,6 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		return nil, errs.Failure(errs.CodeInvalid, "search: checkpoint requires a path")
 	}
 	d := clampShardDepth(cfg, ck.ShardDepth)
-	every := ck.Every
-	if every <= 0 {
-		every = 1
-	}
 	fp := Fingerprint(ck.Tag, cfg, d, false)
 	units, err := expandUnits(cfg, d)
 	if err != nil {
@@ -344,13 +347,14 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		}
 	}
 
-	// Telemetry in checkpointed mode is committed-unit-granular: the
-	// engine runs without a live registry (s.em stays nil, so the
-	// per-1024-node flush path is off) and tally deltas land on the
-	// registry only when the unit that produced them commits. That is
-	// what makes the persisted counters exact across kills: a mid-unit
-	// abort leaves the registry exactly at the last commit, matching the
-	// snapshot a resumed run preloads from.
+	// Telemetry in checkpointed mode is write-granular: the engine runs
+	// without a live registry (s.em stays nil, so the per-1024-node flush
+	// path is off) and tally deltas land on the registry only when the
+	// write that persists their units commits. That is what makes the
+	// persisted counters exact across kills: a mid-unit abort leaves the
+	// registry exactly at the last write, matching the snapshot a
+	// resumed run preloads from. The repro_unit_ns histogram, which no
+	// snapshot persists, records every unit this process ran.
 	reg := cfg.Telemetry
 	em := newEngineMetrics(reg)
 	worksteal.NewMetrics(reg) // frontier families at zero (single-worker)
@@ -377,7 +381,16 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		return nil, err
 	}
 
-	writeSnap := func() error {
+	// Units are staged between writes: a committed unit's counters,
+	// table entries and engine telemetry land on disk and on the
+	// registry together, when the next write commits. A mid-unit abort
+	// therefore leaves the registry exactly at the last write's
+	// telemetry block, which is what a resumed run preloads.
+	written := w.telTally()
+	ckc := checkpoint.NewCommitter(commitClock)
+	persist := func() error {
+		em.addTally(0, written, w.telTally(), w.e.UndoMax, w.maxDepth)
+		written = w.telTally()
 		snap := &checkpoint.Snapshot{
 			Kind:        checkpoint.KindSearch,
 			Fingerprint: fp,
@@ -387,8 +400,8 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 			Counters:    counters,
 			Entries:     s.table.export(),
 			// The write-instrumentation families necessarily lag one
-			// commit (the sample is taken inside the body this write
-			// persists); the engine families are exact at every commit.
+			// write (the sample is taken inside the body this write
+			// persists); the engine families are exact at every write.
 			Telemetry: checkpoint.SampleCounters(reg),
 		}
 		snap.SortEntries()
@@ -401,50 +414,47 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		return nil
 	}
 
-	committed, unsnapped := 0, 0
+	committed := 0
 	for ui := range units {
 		if doneSet[uint32(ui)] {
 			continue
 		}
 		if s.stopped() {
+			if err := ckc.Flush(persist); err != nil {
+				return nil, err
+			}
 			return nil, errs.Interrupted("search: interrupted between units")
 		}
 		prev := grab(w)
-		prevTel := w.telTally()
-		unitStart := time.Now()
+		unitStart := ckc.Begin()
 		if err := w.runTask(task(units[ui])); err != nil {
 			if errors.Is(err, errStopped) {
-				// Mid-unit abort: the unit did not commit; the last snapshot
-				// (which never saw its partial entries) stands.
+				// Mid-unit abort: the unit did not commit, and neither do the
+				// staged units — the table now holds the aborted unit's
+				// partial entries. The last snapshot, which never saw them,
+				// stands.
 				return nil, errs.Interrupted("search: interrupted mid-unit")
 			}
 			return nil, err
 		}
 		counters.Add(delta(prev, w))
-		em.addTally(0, prevTel, w.telTally(), w.e.UndoMax, w.maxDepth)
-		unitNs.Observe(0, time.Since(unitStart).Nanoseconds())
+		unitNs.Observe(0, ckc.Commit(unitStart).Nanoseconds())
 		doneList = append(doneList, uint32(ui))
 		committed++
-		unsnapped++
-		if unsnapped >= every {
-			if err := writeSnap(); err != nil {
-				return nil, err
-			}
-			unsnapped = 0
-		}
 		if ck.StopAfter > 0 && committed >= ck.StopAfter {
-			if unsnapped > 0 {
-				if err := writeSnap(); err != nil {
-					return nil, err
-				}
+			if err := ckc.Flush(persist); err != nil {
+				return nil, err
 			}
 			return nil, errs.Interrupted(fmt.Sprintf("search: stopped after %d units as requested", committed))
 		}
-	}
-	if unsnapped > 0 {
-		if err := writeSnap(); err != nil {
-			return nil, err
+		if ckc.Due() {
+			if err := ckc.Write(persist); err != nil {
+				return nil, err
+			}
 		}
+	}
+	if err := ckc.Flush(persist); err != nil {
+		return nil, err
 	}
 
 	// The spine pass: compute the tree above the shard depth from the
@@ -491,6 +501,10 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	}
 	return res, nil
 }
+
+// commitClock is the clock the snapshot committer reads (nil means
+// time.Now); tests replace it to pace writes deterministically.
+var commitClock func() time.Time
 
 func equalUnits(a, b [][]int) bool {
 	if len(a) != len(b) {
