@@ -26,14 +26,20 @@
 //
 // Deep exhaustive runs can be made durable and distributed:
 //
-//	worstcase -alg queue -n 3 -depth 14 -checkpoint run.rpck   # snapshot between units
+//	worstcase -alg queue -n 3 -depth 14 -checkpoint run.rpck   # durable, one worker
 //	worstcase -alg queue -n 3 -depth 14 -checkpoint run.rpck -resume
 //	worstcase -alg queue -n 3 -depth 14 -shards 4              # 4 worker processes
 //	worstcase ... -progress 5s                                 # states/sec on stderr
 //
-// A checkpointed run that is killed (or deterministically stopped with
-// -stop-after; exit code 3) resumes from its snapshot and produces the
-// byte-identical result of an uninterrupted run. Every stdout line is
+// A checkpointed run executes its units one at a time on a single
+// worker, whatever -workers says, and snapshots committed units between
+// units once they have run at least 10x as long as the previous snapshot
+// write took (and always at -stop-after, on an interrupt seen between
+// units, and at the end). Killed (or deterministically stopped with
+// -stop-after; exit code 3), it resumes from its snapshot and produces
+// the byte-identical result of an uninterrupted run; a kill -9 loses at
+// most the units staged since the last write, about 10x that write's
+// time. Every stdout line is
 // deterministic for the flag set (any worker count); timing and progress
 // go to stderr. -json prints the full result as one JSON object instead.
 package main
