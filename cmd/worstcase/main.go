@@ -39,9 +39,9 @@
 // -stop-after; exit code 3), it resumes from its snapshot and produces
 // the byte-identical result of an uninterrupted run; a kill -9 loses at
 // most the units staged since the last write, about 10x that write's
-// time. Every stdout line is
-// deterministic for the flag set (any worker count); timing and progress
-// go to stderr. -json prints the full result as one JSON object instead.
+// time. Every stdout line is deterministic for the flag set (any worker
+// count); timing and progress go to stderr. -json prints the full result
+// as one JSON object instead.
 package main
 
 import (

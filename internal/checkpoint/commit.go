@@ -16,10 +16,9 @@ const writeFactor = 10
 // committed unit (Begin, then Commit once the unit has finished) and
 // asks Due after every commit; Write persists the staged units and times
 // itself, export through rename, so the next Due can weigh the staged
-// work against the last write. Besides due writes, a run writes when
+// work against the last write. Besides due writes, a run Flushes when
 // StopAfter is reached, on an interrupt seen between units, and at the
-// end — whenever Staged is nonzero. A Committer is not safe for
-// concurrent use.
+// end. A Committer is not safe for concurrent use.
 type Committer struct {
 	now    func() time.Time
 	cost   time.Duration // how long the last write took; zero before the first
@@ -47,9 +46,6 @@ func (c *Committer) Commit(start time.Time) time.Duration {
 	c.staged++
 	return d
 }
-
-// Staged reports how many committed units no write has persisted yet.
-func (c *Committer) Staged() int { return c.staged }
 
 // Due reports whether the staged units have run at least writeFactor
 // times as long as the last write took.

@@ -35,8 +35,8 @@ func TestCommitterCadence(t *testing.T) {
 		if d := c.Commit(c.Begin()); d != time.Millisecond {
 			t.Fatalf("unit ran %v, want 1ms", d)
 		}
-		if c.Staged() != i {
-			t.Fatalf("staged %d, want %d", c.Staged(), i)
+		if c.staged != i {
+			t.Fatalf("staged %d, want %d", c.staged, i)
 		}
 		if due := c.Due(); due != (i == writeFactor) {
 			t.Fatalf("after %d staged units: due %v", i, due)
@@ -51,11 +51,11 @@ func TestCommitterFailedWriteKeepsStaged(t *testing.T) {
 	c.Commit(c.Begin())
 	c.Commit(c.Begin())
 	boom := errors.New("disk full")
-	if err := c.Write(func() error { return boom }); err != boom {
+	if err := c.Write(func() error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("write error %v, want %v", err, boom)
 	}
-	if c.Staged() != 2 || !c.Due() {
-		t.Fatalf("after failed write: staged %d, due %v", c.Staged(), c.Due())
+	if c.staged != 2 || !c.Due() {
+		t.Fatalf("after failed write: staged %d, due %v", c.staged, c.Due())
 	}
 }
 
