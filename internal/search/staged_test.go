@@ -61,7 +61,7 @@ func useClock(t *testing.T, at int, fire func()) {
 }
 
 // interruptAt closes the run's interrupt channel on the given clock
-// reading, then waits long enough for the driver's relay goroutine to
+// reading, then waits long enough for RunCheckpointed's relay goroutine to
 // raise the engine's stop flag.
 func interruptAt(t *testing.T, reading int) <-chan struct{} {
 	stop := make(chan struct{})
