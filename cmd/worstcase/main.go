@@ -191,26 +191,19 @@ func run(args []string, out, errOut io.Writer) error {
 
 	start := time.Now()
 	var res *search.Result
+	ck := search.Checkpoint{
+		Path:       *ckPath,
+		Tag:        spec.Alg,
+		ShardDepth: *shardDepth,
+		Resume:     *resume,
+		StopAfter:  *stopAfter,
+		Interrupt:  interrupt,
+	}
 	switch {
 	case *shards > 1:
-		res, err = runCoordinator(cfg, spec, shardOpts{
-			shards:     *shards,
-			shardDepth: *shardDepth,
-			checkpoint: *ckPath,
-			resume:     *resume,
-			stopAfter:  *stopAfter,
-			interrupt:  interrupt,
-			meter:      meter,
-		}, errOut)
+		res, err = runCoordinator(cfg, spec, *shards, ck, meter, errOut)
 	case *ckPath != "":
-		res, err = search.RunCheckpointed(cfg, search.Checkpoint{
-			Path:       *ckPath,
-			Tag:        spec.Alg,
-			ShardDepth: *shardDepth,
-			Resume:     *resume,
-			StopAfter:  *stopAfter,
-			Interrupt:  interrupt,
-		})
+		res, err = search.RunCheckpointed(cfg, ck)
 	default:
 		res, err = search.Run(cfg)
 	}

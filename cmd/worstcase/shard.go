@@ -6,8 +6,8 @@ package main
 // pure functions of (flag set, prefix) — see internal/search/sharded.go —
 // so the merged result is deterministic for any shard count and any
 // assignment of units to workers. With -checkpoint the coordinator
-// snapshots its accumulated (entries, counters, done set) on the
-// committer's measured cadence and whenever it stops, so a killed
+// snapshots its accumulated (entries, counters, done set) through
+// checkpoint.Run, the driver the in-process search uses, so a killed
 // coordinator resumes without recomputing the units its last snapshot
 // holds; in-flight and unwritten units are simply recomputed.
 
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/errs"
 	"repro/internal/jobspec"
 	"repro/internal/search"
 	"repro/internal/telemetry"
@@ -72,17 +71,6 @@ func serveShardUnits(cfg search.Config, in io.Reader, out io.Writer) error {
 			return fmt.Errorf("shard worker: write reply: %w", err)
 		}
 	}
-}
-
-// shardOpts carries the coordinator's flag settings.
-type shardOpts struct {
-	shards     int
-	shardDepth int
-	checkpoint string
-	resume     bool
-	stopAfter  int
-	interrupt  <-chan struct{}
-	meter      *telemetry.Meter
 }
 
 // shardWorker is one live worker process and its two JSON streams.
@@ -163,209 +151,120 @@ type unitOutcome struct {
 }
 
 // runCoordinator shards the exhaustive search across worker processes and
-// merges their unit results into the single-process answer.
-func runCoordinator(cfg search.Config, spec jobspec.Spec, opts shardOpts, errOut io.Writer) (*search.Result, error) {
-	d, err := search.EffectiveShardDepth(cfg, opts.shardDepth)
-	if err != nil {
-		return nil, err
-	}
+// merges their unit results into the single-process answer. Results are
+// committed in unit order through the same durable-run driver as the
+// in-process search, so a run without a checkpoint path differs only in
+// persisting nothing.
+func runCoordinator(cfg search.Config, spec jobspec.Spec, shards int, ck checkpoint.Options,
+	meter *telemetry.Meter, errOut io.Writer) (*search.Result, error) {
+	d := checkpoint.ClampShardDepth(ck.ShardDepth, cfg.MaxDepth)
 	units, err := search.ExpandUnits(cfg, d)
 	if err != nil {
 		return nil, err
 	}
-	fp := search.Fingerprint(spec.Alg, cfg, d, true)
-
-	counters := checkpoint.Counters{}
-	var doneList []uint32
-	var entries []checkpoint.Entry
-	doneSet := map[uint32]bool{}
-	if opts.resume {
-		if opts.checkpoint == "" {
-			return nil, errs.Failure(errs.CodeInvalid, "-resume requires -checkpoint")
-		}
-		snap, err := checkpoint.Read(opts.checkpoint)
-		if err != nil {
-			return nil, err
-		}
-		if snap.Kind != checkpoint.KindSearch {
-			return nil, errs.Failuref(errs.CodeConflict,
-				"snapshot %s belongs to %s, not a search", opts.checkpoint, snap.Kind)
-		}
-		if snap.Fingerprint != fp {
-			return nil, errs.Failuref(errs.CodeConflict,
-				"snapshot %s was written by a different configuration (%s, want %s)",
-				opts.checkpoint, snap.Fingerprint, fp)
-		}
-		if !unitsEqual(snap.Units, units) {
-			return nil, errs.Defectf("snapshot %s unit list disagrees with re-derivation", opts.checkpoint)
-		}
-		counters = snap.Counters
-		doneList = snap.Done
-		doneSet = snap.DoneSet()
-		entries = snap.Entries
+	run := &checkpoint.Run{
+		Options: ck,
+		Snap: checkpoint.Snapshot{Kind: checkpoint.KindSearch,
+			Fingerprint: search.Fingerprint(spec.Alg, cfg, d, true), ShardDepth: d, Units: units},
+		Meter: meter,
+		Clock: commitClock,
 	}
-
+	if err := run.Open(); err != nil {
+		return nil, err
+	}
+	done := run.Snap.DoneSet()
 	var pending []int
 	for i := range units {
-		if !doneSet[uint32(i)] {
+		if !done[uint32(i)] {
 			pending = append(pending, i)
 		}
 	}
 
-	// Completed units are staged and written on the committer's measured
-	// cadence (see internal/checkpoint): workers keep computing while the
-	// coordinator writes, so the work a write is weighed against is the
-	// wall time between results.
-	ckc := checkpoint.NewCommitter(commitClock)
-	persist := func() error {
-		snap := &checkpoint.Snapshot{
-			Kind:        checkpoint.KindSearch,
-			Fingerprint: fp,
-			ShardDepth:  d,
-			Units:       units,
-			Done:        doneList,
-			Counters:    counters,
-			Entries:     append([]checkpoint.Entry(nil), entries...),
+	var workers []*shardWorker
+	for i := 0; i < min(shards, len(pending)); i++ {
+		w, err := startShardWorker(spec, errOut)
+		if err != nil {
+			for _, started := range workers {
+				started.kill()
+			}
+			return nil, err
 		}
-		snap.SortEntries()
-		if err := checkpoint.Write(opts.checkpoint, snap); err != nil {
-			return err
+		workers = append(workers, w)
+	}
+	feed := make(chan int)
+	results := make(chan unitOutcome, len(workers))
+	stopFeed := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, w := range workers {
+		wg.Add(1)
+		go func(w *shardWorker) {
+			defer wg.Done()
+			for idx := range feed {
+				res, err := w.compute(units[idx])
+				results <- unitOutcome{idx: idx, res: res, err: err}
+				if err != nil {
+					return // a broken stream cannot carry further units
+				}
+			}
+		}(w)
+	}
+	go func() {
+		defer close(feed)
+		for _, idx := range pending {
+			select {
+			case feed <- idx:
+			case <-stopFeed:
+				return
+			}
 		}
-		if opts.meter != nil {
-			opts.meter.Checkpointed()
+	}()
+	go func() { wg.Wait(); close(results) }()
+
+	// Workers finish units in any order; the commit loop takes them in
+	// unit order, so the committer weighs each write against the wall
+	// time spent waiting for results.
+	arrived := map[int]*search.UnitResult{}
+	var total checkpoint.Counters
+	var failed error
+	unit := func(i int) error {
+		for arrived[i] == nil {
+			out, ok := <-results
+			if !ok {
+				failed = fmt.Errorf("shard unit %v: every worker has exited", units[i])
+				return failed
+			}
+			if out.err != nil {
+				failed = fmt.Errorf("shard unit %v: %w", units[out.idx], out.err)
+				return failed
+			}
+			arrived[out.idx] = out.res
 		}
+		total.Add(arrived[i].Counters)
+		run.Snap.Entries = append(run.Snap.Entries, arrived[i].Entry)
+		delete(arrived, i)
 		return nil
 	}
-
-	if len(pending) > 0 {
-		nw := opts.shards
-		if nw > len(pending) {
-			nw = len(pending)
-		}
-		var workers []*shardWorker
-		for i := 0; i < nw; i++ {
-			w, err := startShardWorker(spec, errOut)
-			if err != nil {
-				for _, started := range workers {
-					started.kill()
-				}
-				return nil, err
-			}
-			workers = append(workers, w)
-		}
-
-		feed := make(chan int)
-		results := make(chan unitOutcome, nw)
-		stopFeed := make(chan struct{})
-		var stopOnce sync.Once
-		stop := func() { stopOnce.Do(func() { close(stopFeed) }) }
-		var wg sync.WaitGroup
-		for _, w := range workers {
-			wg.Add(1)
-			go func(w *shardWorker) {
-				defer wg.Done()
-				for idx := range feed {
-					res, err := w.compute(units[idx])
-					results <- unitOutcome{idx: idx, res: res, err: err}
-					if err != nil {
-						return // a broken stream cannot carry further units
-					}
-				}
-			}(w)
-		}
-		go func() {
-			defer close(feed)
-			for _, idx := range pending {
-				select {
-				case feed <- idx:
-				case <-stopFeed:
-					return
-				}
-			}
-		}()
-		go func() { wg.Wait(); close(results) }()
-
-		completed := 0
-		interrupted := false
-		var failure error
-		canWrite := opts.checkpoint != "" // false once a write fails
-		mark := ckc.Begin()
-		for out := range results {
-			if out.err != nil {
-				if failure == nil {
-					failure = fmt.Errorf("shard unit %v: %w", units[out.idx], out.err)
-				}
-				stop()
-				continue // keep draining in-flight results
-			}
-			counters.Add(out.res.Counters)
-			entries = append(entries, out.res.Entry)
-			doneList = append(doneList, uint32(out.idx))
-			completed++
-			mark = mark.Add(ckc.Commit(mark))
-			if canWrite && ckc.Due() {
-				if err := ckc.Write(persist); err != nil {
-					canWrite = false
-					if failure == nil {
-						failure = err
-					}
-					stop()
-					continue
-				}
-			}
-			if opts.stopAfter > 0 && completed >= opts.stopAfter {
-				interrupted = true
-				stop()
-			}
-			select {
-			case <-opts.interrupt:
-				interrupted = true
-				stop()
-			default:
-			}
-		}
-		stop()
-		// Every completed unit is a finished result, whatever stopped the
-		// run, so the staged ones are written before it returns.
-		if canWrite {
-			if err := ckc.Flush(persist); err != nil && failure == nil {
-				failure = err
-			}
-		}
-		for _, w := range workers {
-			if err := w.shutdown(); err != nil && failure == nil && !interrupted {
-				failure = fmt.Errorf("shard worker exit: %w", err)
-			}
-		}
-		if failure != nil {
-			return nil, failure
-		}
-		if interrupted {
-			return nil, errs.Interrupted(fmt.Sprintf(
-				"stopped after %d units this run; completed work is snapshotted", completed))
+	err = run.CommitUnits(unit, func() checkpoint.Counters { return total }, nil)
+	if failed != nil {
+		// Every committed unit is a finished result, so a failed worker
+		// costs none of them; the worker's error is the one to report.
+		_ = run.Flush()
+	}
+	close(stopFeed)
+	for range results {
+		// Drain the units still in flight so every worker goroutine exits.
+	}
+	for _, w := range workers {
+		if serr := w.shutdown(); serr != nil && err == nil {
+			err = fmt.Errorf("shard worker exit: %w", serr)
 		}
 	}
-
-	return search.MergeShardedState(cfg, entries, counters)
+	if err != nil {
+		return nil, err
+	}
+	return search.MergeShardedState(cfg, run.Snap.Entries, run.Snap.Counters)
 }
 
 // commitClock is the clock the coordinator's snapshot committer reads
 // (nil means time.Now); tests replace it to pace writes deterministically.
 var commitClock func() time.Time
-
-func unitsEqual(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}

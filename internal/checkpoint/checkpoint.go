@@ -13,13 +13,18 @@
 // snapshot lands under a temporary name, is fsynced, and renames over
 // the target, so a crash mid-write leaves the previous snapshot intact.
 //
-// When to write is the Committer's business (commit.go). A snapshot
-// rewrites the whole table, so durable runs do not write after every
-// unit: they stage committed units and write once the staged units have
-// run at least ten times as long as the previous write took, plus when a
-// run stops or ends. Snapshot I/O stays near a tenth of a run at any
-// table size; a kill loses at most the staged units, about ten write
-// durations of work, which a resumed run redoes.
+// How a durable run resumes and commits is decided once, in Run
+// (run.go), which the checkpointed search, the checkpointed exploration
+// and the sharded worst-case coordinator all drive: it clamps the shard
+// depth, opens and validates the snapshot to resume from (kind,
+// fingerprint, unit list) and preloads its telemetry, and commits units
+// one at a time. When to write is the Committer's business (commit.go).
+// A snapshot rewrites the whole table, so durable runs do not write
+// after every unit: they stage committed units and write once the staged
+// units have run at least ten times as long as the previous write took,
+// plus when a run stops or ends. Snapshot I/O stays near a tenth of a
+// run at any table size; a kill loses at most the staged units, about
+// ten write durations of work, which a resumed run redoes.
 package checkpoint
 
 import (
@@ -84,6 +89,21 @@ func (c *Counters) Add(o Counters) {
 	c.SymmetryMerges += o.SymmetryMerges
 	if o.MaxDepthReached > c.MaxDepthReached {
 		c.MaxDepthReached = o.MaxDepthReached
+	}
+}
+
+// Since returns the movement of cumulative counters c since prev.
+// MaxDepthReached is a running maximum, which Add merges by max, so the
+// cumulative value passes through unchanged.
+func (c Counters) Since(prev Counters) Counters {
+	return Counters{
+		Paths:           c.Paths - prev.Paths,
+		Truncated:       c.Truncated - prev.Truncated,
+		Pruned:          c.Pruned - prev.Pruned,
+		Deduped:         c.Deduped - prev.Deduped,
+		MaxDepthReached: c.MaxDepthReached,
+		StepsSlept:      c.StepsSlept - prev.StepsSlept,
+		SymmetryMerges:  c.SymmetryMerges - prev.SymmetryMerges,
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/errs"
 	"repro/internal/memsim"
-	"repro/internal/telemetry"
 	"repro/internal/worksteal"
 )
 
@@ -37,33 +36,12 @@ import (
 // a property violation aborts mid-traversal, so its partial counters
 // (though not the violation itself) depend on the decomposition.
 
-// Checkpoint configures a durable exploration. Units run one at a time
-// on a single worker, whatever Config.Workers says (it only fills the
-// Result's Workers field), and snapshots follow the same write policy as
-// search.Checkpoint: the shallow pass is written at once, committed
-// units are staged and written once they have run at least ten times as
-// long as the previous write took, when StopAfter is reached, on an
-// interrupt seen between units, and at the end. A kill, or an interrupt
-// inside a unit, loses the staged units, which a resumed run redoes.
-type Checkpoint struct {
-	// Path is the snapshot file (required).
-	Path string
-	// Tag folds a caller-side identity (the algorithm name) into the
-	// fingerprint.
-	Tag string
-	// ShardDepth is the unit prefix depth. Zero means 3; the value is
-	// clamped to MaxDepth-1.
-	ShardDepth int
-	// Resume loads the snapshot at Path instead of starting fresh.
-	Resume bool
-	// StopAfter, when positive, interrupts the run after that many units
-	// committed in this invocation (deterministic kill for tests).
-	StopAfter int
-	// Interrupt, when non-nil, aborts the run when it becomes readable.
-	// Seen between units it first writes the staged units; inside a unit
-	// it writes nothing.
-	Interrupt <-chan struct{}
-}
+// Checkpoint configures a durable exploration; checkpoint.Options
+// documents the fields and the write policy, which is search's with one
+// addition: the shallow pass is written at once. Config.Workers only
+// fills the Result's Workers field: units run one at a time on a single
+// worker.
+type Checkpoint = checkpoint.Options
 
 // Fingerprint renders the configuration identity an exploration
 // snapshot is bound to. The resolved engine is included: dedup and
@@ -85,36 +63,18 @@ func Fingerprint(tag string, cfg Config, shardDepth int, dedup, reduce bool) str
 		// k=0 fingerprints byte-identical to pre-fault ones.
 		fmt.Fprintf(&b, "faults[%s]|", cfg.Faults)
 	}
-	for pid := 0; pid < cfg.N; pid++ {
-		script, ok := cfg.Scripts[memsim.PID(pid)]
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(&b, "p%d:", pid)
-		for _, k := range script {
-			fmt.Fprintf(&b, "%d,", k)
-		}
-		b.WriteByte(';')
-	}
+	b.WriteString(checkpoint.FingerprintScripts(cfg.N, cfg.Scripts))
 	return b.String()
 }
 
-type xtally struct{ paths, truncated, deduped, slept, symMerges int }
-
-func xgrab(w *searcher) xtally {
-	return xtally{
-		paths: w.paths, truncated: w.truncated, deduped: w.deduped,
-		slept: w.stepsSlept, symMerges: w.symMerges,
-	}
-}
-
-func xdelta(prev xtally, w *searcher) checkpoint.Counters {
+// counters reports the searcher's cumulative deterministic tallies.
+func (w *searcher) counters() checkpoint.Counters {
 	return checkpoint.Counters{
-		Paths:           w.paths - prev.paths,
-		Truncated:       w.truncated - prev.truncated,
-		Deduped:         w.deduped - prev.deduped,
-		StepsSlept:      w.stepsSlept - prev.slept,
-		SymmetryMerges:  w.symMerges - prev.symMerges,
+		Paths:           w.paths,
+		Truncated:       w.truncated,
+		Deduped:         w.deduped,
+		StepsSlept:      w.stepsSlept,
+		SymmetryMerges:  w.symMerges,
 		MaxDepthReached: w.maxDepth,
 	}
 }
@@ -241,11 +201,13 @@ func (w *searcher) runUnit(t task) error {
 }
 
 // RunCheckpointed runs a backtracking exploration durably: a shallow
-// pass enumerates units, units commit in order with snapshots between
-// commits, and a killed run resumes to the byte-identical Result of an
-// uninterrupted (or plain) run. Only the backtracking engines
-// checkpoint; EngineReplay is rejected. Interruption (ck.Interrupt or
-// ck.StopAfter) returns an error classified as errs.ClassInterrupt.
+// pass enumerates the units and is written at once, then the units
+// commit through checkpoint.Run (which resumes from, and writes, the
+// snapshot at ck.Path), so a killed run resumes to the byte-identical
+// Result of an uninterrupted (or plain) run. Only the backtracking
+// engines checkpoint; EngineReplay is rejected. Interruption
+// (ck.Interrupt or ck.StopAfter) returns an error classified as
+// errs.ClassInterrupt.
 func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	if cfg.Factory == nil || cfg.Check == nil {
 		return nil, errors.New("explore: config requires Factory and Check")
@@ -256,48 +218,41 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	if ck.Path == "" {
 		return nil, errs.Failure(errs.CodeInvalid, "explore: checkpoint requires a path")
 	}
-	var dedup, reduce bool
-	switch cfg.Engine {
-	case EngineBacktrack:
-		dedup = false
-	case EngineBacktrackDedup:
-		dedup = true
+	engine := cfg.Engine
+	switch engine {
+	case EngineBacktrack, EngineBacktrackDedup:
 	case EngineBacktrackDedupPOR:
 		if !backtrackable(cfg) {
 			return nil, errs.Failure(errs.CodeInvalid,
 				"explore: EngineBacktrackDedupPOR requires a resumable instance")
 		}
-		dedup, reduce = true, true
 	case EngineAuto:
 		if !backtrackable(cfg) {
 			return nil, errs.Failure(errs.CodeInvalid,
 				"explore: checkpointing needs a resumable algorithm tier (replay engine cannot checkpoint)")
 		}
-		dedup = true
+		engine = EngineBacktrackDedup
 	default:
 		return nil, errs.Failure(errs.CodeInvalid,
 			"explore: engine "+cfg.Engine.String()+" cannot checkpoint")
 	}
-	engine := EngineBacktrack
-	if reduce {
-		engine = EngineBacktrackDedupPOR
-	} else if dedup {
-		engine = EngineBacktrackDedup
-	}
-	d := ck.ShardDepth
-	if d <= 0 {
-		d = 3
-	}
-	if max := cfg.MaxDepth - 1; d > max {
-		d = max
-	}
-	if d < 0 {
-		d = 0
-	}
-	fp := Fingerprint(ck.Tag, cfg, d, dedup, reduce)
+	dedup, reduce := engine != EngineBacktrack, engine == EngineBacktrackDedupPOR
+	d := checkpoint.ClampShardDepth(ck.ShardDepth, cfg.MaxDepth)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	// The unit list comes from the shallow pass, or on resume from the
+	// snapshot, which is the only record of that pass.
+	run := &checkpoint.Run{
+		Options: ck,
+		Snap: checkpoint.Snapshot{Kind: checkpoint.KindExplore,
+			Fingerprint: Fingerprint(ck.Tag, cfg, d, dedup, reduce), ShardDepth: d},
+		Registry: cfg.Telemetry,
+		Clock:    commitClock,
+	}
+	if err := run.Open(); err != nil {
+		return nil, err
 	}
 
 	// Telemetry in checkpointed mode is write-granular, exactly as in
@@ -305,16 +260,13 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	// without a live registry (s.em stays nil) and tally deltas land on
 	// the registry only when the write that persists their units — or
 	// the shallow pass — commits.
-	reg := cfg.Telemetry
-	em := newEngineMetrics(reg)
-	worksteal.NewMetrics(reg) // frontier families at zero (single-worker)
-	ckm := checkpoint.NewMetrics(reg)
-	unitNs := reg.Histogram("repro_unit_ns",
-		1e5, 1e6, 1e7, 1e8, 1e9, 1e10)
+	em := newEngineMetrics(cfg.Telemetry)
+	worksteal.NewMetrics(cfg.Telemetry) // frontier families at zero (single-worker)
 
 	s := &search{cfg: cfg, workers: 1, reduce: reduce}
 	if dedup {
 		s.table = newDedupTable()
+		s.table.preload(run.Snap.Entries)
 	}
 	if ck.Interrupt != nil {
 		finished := make(chan struct{})
@@ -332,162 +284,65 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		return nil, err
 	}
 
-	counters := checkpoint.Counters{}
-	var units [][]int
-	var doneList []uint32
-	doneSet := map[uint32]bool{}
-
+	// finish reports the committed counters; when a unit stopped on a
+	// property violation (or an engine error), the error names that cause
+	// instead of the interrupt, mirroring runBacktrack's postlude.
 	finish := func(err error) (*Result, error) {
-		res := &Result{
-			Engine:          engine,
-			Workers:         workers,
-			Paths:           counters.Paths,
-			Truncated:       counters.Truncated,
-			StatesDeduped:   counters.Deduped,
-			StepsSlept:      counters.StepsSlept,
-			SymmetryMerges:  counters.SymmetryMerges,
-			MaxDepthReached: counters.MaxDepthReached,
-		}
-		return res, err
-	}
-	// interruptedOrFailed translates a unit's errStopped into the real
-	// cause, mirroring runBacktrack's postlude.
-	cause := func(fallback string) (*Result, error) {
 		s.mu.Lock()
 		ferr, fail := s.err, s.fail
 		s.mu.Unlock()
 		if ferr != nil {
-			return finish(ferr)
-		}
-		if fail != nil {
-			return finish(fmt.Errorf("explore: property failed on schedule %v: %w", fail.desc, fail.err))
-		}
-		return nil, errs.Interrupted(fallback)
-	}
-
-	// Units are staged between writes, telemetry included, exactly as in
-	// search: a mid-unit abort leaves the registry at the last write.
-	// The shallow pass's tally lands with the first write.
-	written := w.telTally()
-	if ck.Resume {
-		snap, err := checkpoint.Read(ck.Path)
-		if err != nil {
+			err = ferr
+		} else if fail != nil {
+			err = fmt.Errorf("explore: property failed on schedule %v: %w", fail.desc, fail.err)
+		} else if err != nil {
 			return nil, err
 		}
-		if snap.Kind != checkpoint.KindExplore {
-			return nil, errs.Failuref(errs.CodeConflict,
-				"explore: %s is a %s snapshot", ck.Path, snap.Kind)
+		c := run.Snap.Counters
+		return &Result{
+			Engine:          engine,
+			Workers:         workers,
+			Paths:           c.Paths,
+			Truncated:       c.Truncated,
+			StatesDeduped:   c.Deduped,
+			StepsSlept:      c.StepsSlept,
+			SymmetryMerges:  c.SymmetryMerges,
+			MaxDepthReached: c.MaxDepthReached,
+		}, err
+	}
+
+	// The shallow pass's tally lands with the first write.
+	written := w.telTally()
+	run.Stage = func() []checkpoint.Entry {
+		em.addTally(0, written, w.telTally(), w.e.UndoMax, w.maxDepth)
+		written = w.telTally()
+		if s.table == nil {
+			return nil
 		}
-		if snap.Fingerprint != fp {
-			return nil, errs.Failuref(errs.CodeConflict,
-				"explore: snapshot %s was written by a different configuration (%s, want %s)",
-				ck.Path, snap.Fingerprint, fp)
-		}
-		counters = snap.Counters
-		units = snap.Units
-		doneList = snap.Done
-		doneSet = snap.DoneSet()
-		if s.table != nil {
-			s.table.preload(snap.Entries)
-		}
-		// Continue the telemetry counters from the killed run's last
-		// commit (monotone across resumes); a pre-v4 snapshot carries no
-		// telemetry block, so seed the engine families from the
-		// deterministic counters instead.
-		if len(snap.Telemetry) > 0 {
-			checkpoint.PreloadCounters(reg, snap.Telemetry)
-		} else if reg != nil {
-			reg.AddCounterValues([]telemetry.CounterValue{
-				{Name: "repro_engine_paths_total", Value: int64(snap.Counters.Paths)},
-				{Name: "repro_engine_truncated_total", Value: int64(snap.Counters.Truncated)},
-				{Name: "repro_engine_deduped_total", Value: int64(snap.Counters.Deduped)},
-				{Name: "repro_engine_sleep_prunes_total", Value: int64(snap.Counters.StepsSlept)},
-				{Name: "repro_engine_symmetry_merges_total", Value: int64(snap.Counters.SymmetryMerges)},
-			})
-		}
-	} else {
+		return s.table.export()
+	}
+	if !ck.Resume {
 		// The shallow pass: everything above (and at) the shard depth is
 		// counted and claimed now, once; the snapshot written below is the
 		// only record of it a resumed run ever needs.
-		prev := xgrab(w)
-		if err := w.shallowPass(d, &units); err != nil {
+		if err := w.shallowPass(d, &run.Snap.Units); err != nil {
 			if errors.Is(err, errStopped) {
-				return cause("explore: interrupted during shallow pass (nothing persisted)")
+				return finish(errs.Interrupted("explore: interrupted during shallow pass (nothing persisted)"))
 			}
 			return nil, err
 		}
-		counters.Add(xdelta(prev, w))
-	}
-
-	ckc := checkpoint.NewCommitter(commitClock)
-	persist := func() error {
-		em.addTally(0, written, w.telTally(), w.e.UndoMax, w.maxDepth)
-		written = w.telTally()
-		snap := &checkpoint.Snapshot{
-			Kind:        checkpoint.KindExplore,
-			Fingerprint: fp,
-			ShardDepth:  d,
-			Units:       units,
-			Done:        doneList,
-			Counters:    counters,
-		}
-		if s.table != nil {
-			snap.Entries = s.table.export()
-		}
-		// The write-instrumentation families necessarily lag one write
-		// (the sample is taken inside the body this write persists);
-		// the engine families are exact at every write.
-		snap.Telemetry = checkpoint.SampleCounters(reg)
-		snap.SortEntries()
-		return ckm.Write(ck.Path, snap)
-	}
-	if !ck.Resume {
-		if err := ckc.Write(persist); err != nil {
+		run.Snap.Counters = w.counters()
+		if err := run.Write(); err != nil {
 			return nil, err
 		}
 	}
-
-	committed := 0
-	for ui := range units {
-		if doneSet[uint32(ui)] {
-			continue
+	return finish(run.CommitUnits(func(i int) error {
+		err := w.runUnit(task(run.Snap.Units[i]))
+		if errors.Is(err, errStopped) {
+			return errs.Interrupted("explore: interrupted mid-unit")
 		}
-		if s.stop.Load() {
-			if err := ckc.Flush(persist); err != nil {
-				return nil, err
-			}
-			return cause("explore: interrupted between units")
-		}
-		prev := xgrab(w)
-		unitStart := ckc.Begin()
-		if err := w.runUnit(task(units[ui])); err != nil {
-			if errors.Is(err, errStopped) {
-				// The staged units stay unwritten: the claim table now holds
-				// the aborted unit's partial claims.
-				return cause("explore: interrupted mid-unit")
-			}
-			return nil, err
-		}
-		counters.Add(xdelta(prev, w))
-		unitNs.Observe(0, ckc.Commit(unitStart).Nanoseconds())
-		doneList = append(doneList, uint32(ui))
-		committed++
-		if ck.StopAfter > 0 && committed >= ck.StopAfter {
-			if err := ckc.Flush(persist); err != nil {
-				return nil, err
-			}
-			return nil, errs.Interrupted(fmt.Sprintf("explore: stopped after %d units as requested", committed))
-		}
-		if ckc.Due() {
-			if err := ckc.Write(persist); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := ckc.Flush(persist); err != nil {
-		return nil, err
-	}
-	return finish(nil)
+		return err
+	}, w.counters, s.stop.Load))
 }
 
 // commitClock is the clock the snapshot committer reads (nil means

@@ -57,13 +57,17 @@ func useClock(t *testing.T, at int, fire func()) {
 }
 
 // interruptAt closes the run's interrupt channel on the given clock
-// reading, then waits long enough for RunCheckpointed's relay goroutine to
-// raise the engine's stop flag.
-func interruptAt(t *testing.T, reading int) <-chan struct{} {
+// reading. The commit loop sees a closed channel between units by
+// itself; an interrupt meant to land inside a unit (inUnit) then waits
+// long enough for RunCheckpointed's relay goroutine to raise the
+// engine's stop flag while the unit runs.
+func interruptAt(t *testing.T, reading int, inUnit bool) <-chan struct{} {
 	stop := make(chan struct{})
 	useClock(t, reading, func() {
 		close(stop)
-		time.Sleep(50 * time.Millisecond)
+		if inUnit {
+			time.Sleep(50 * time.Millisecond)
+		}
 	})
 	return stop
 }
@@ -124,7 +128,7 @@ func TestStagedMidUnitAbort(t *testing.T) {
 	cfg := queue3x3()
 	cfg.Telemetry = telemetry.New()
 	path := filepath.Join(t.TempDir(), "run.rpck")
-	stop := interruptAt(t, 11)
+	stop := interruptAt(t, 11, true)
 	_, err := RunCheckpointed(cfg, Checkpoint{Path: path, Tag: "queue", Interrupt: stop})
 	if !errs.IsInterrupt(err) || !strings.Contains(err.Error(), "mid-unit") {
 		t.Fatalf("want a mid-unit interrupt, got %v", err)
@@ -140,7 +144,7 @@ func TestStagedFlushOnInterrupt(t *testing.T) {
 	cfg := queue3x3()
 	cfg.Telemetry = telemetry.New()
 	path := filepath.Join(t.TempDir(), "run.rpck")
-	stop := interruptAt(t, 10)
+	stop := interruptAt(t, 10, false)
 	_, err := RunCheckpointed(cfg, Checkpoint{Path: path, Tag: "queue", Interrupt: stop})
 	if !errs.IsInterrupt(err) || !strings.Contains(err.Error(), "between units") {
 		t.Fatalf("want an interrupt between units, got %v", err)

@@ -27,8 +27,24 @@ const (
 	KindWorstcase = "worstcase"
 )
 
+// Upper bounds on the size fields of a Spec. A job arrives from outside
+// the program (an HTTP body or a flag set), and each of these fields
+// sizes an allocation or a goroutine pool before any work starts:
+// Waiters × Polls call kinds in Scripts (at most 1 MiB of them), Walks
+// per-walk records in sample mode, Workers searchers, and Depth per-depth
+// buffers. Every workload the repository runs sits far below them.
+const (
+	maxWaiters = 1024
+	maxPolls   = 1024
+	maxDepth   = 1024
+	maxWalks   = 1 << 16
+	maxWorkers = 256
+)
+
 // Spec is one job description — the JSON body POSTed to the reprod
-// server, and the normalized form of the CLI flag sets.
+// server, and the normalized form of the CLI flag sets. Normalize
+// rejects a Spec whose Waiters or Polls exceed 1024, Depth exceeds 1024,
+// Walks exceeds 65536 or Workers exceeds 256.
 type Spec struct {
 	// Kind is "explore" or "worstcase".
 	Kind string `json:"kind"`
@@ -104,6 +120,20 @@ func (s *Spec) Normalize() error {
 	}
 	if s.Depth <= 0 {
 		s.Depth = 10
+	}
+	for _, f := range []struct {
+		name     string
+		val, max int
+	}{
+		{"waiters", s.Waiters, maxWaiters},
+		{"polls", s.Polls, maxPolls},
+		{"depth", s.Depth, maxDepth},
+		{"walks", s.Walks, maxWalks},
+		{"workers", s.Workers, maxWorkers},
+	} {
+		if f.val > f.max {
+			return errs.Failuref(errs.CodeInvalid, "jobspec: %s must be <= %d, got %d", f.name, f.max, f.val)
+		}
 	}
 	if s.Faults < 0 {
 		return errs.Failuref(errs.CodeInvalid, "jobspec: faults must be >= 0, got %d", s.Faults)

@@ -141,3 +141,44 @@ func TestSpecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost fields: %+v", out)
 	}
 }
+
+// TestNormalizeCaps: each size field is accepted at its cap and refused
+// one past it, or far past it, as an invalid-input Failure naming the
+// field. The largest values the repository's own workloads use pass.
+func TestNormalizeCaps(t *testing.T) {
+	cases := []struct {
+		name string
+		spec jobspec.Spec
+		ok   bool
+	}{
+		{"largest-used", jobspec.Spec{Waiters: 40, Polls: 3, Depth: 45, Walks: 4096, Workers: 8}, true},
+		{"waiters-at-cap", jobspec.Spec{Waiters: 1024}, true},
+		{"waiters-over", jobspec.Spec{Waiters: 1025}, false},
+		{"polls-at-cap", jobspec.Spec{Polls: 1024}, true},
+		{"polls-over", jobspec.Spec{Polls: 1025}, false},
+		{"polls-huge", jobspec.Spec{Polls: 1 << 62}, false},
+		{"depth-at-cap", jobspec.Spec{Depth: 1024}, true},
+		{"depth-over", jobspec.Spec{Depth: 1025}, false},
+		{"walks-at-cap", jobspec.Spec{Walks: 1 << 16}, true},
+		{"walks-over", jobspec.Spec{Walks: 1<<16 + 1}, false},
+		{"workers-at-cap", jobspec.Spec{Workers: 256}, true},
+		{"workers-over", jobspec.Spec{Workers: 257}, false},
+	}
+	for _, tc := range cases {
+		for _, kind := range []string{jobspec.KindExplore, jobspec.KindWorstcase} {
+			s := tc.spec
+			s.Kind = kind
+			err := s.Normalize()
+			if tc.ok {
+				if err != nil {
+					t.Errorf("%s/%s: %v", tc.name, kind, err)
+				}
+				continue
+			}
+			field := strings.SplitN(tc.name, "-", 2)[0]
+			if errs.CodeOf(err) != errs.CodeInvalid || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s/%s: got %v, want an invalid Failure naming %s", tc.name, kind, err, field)
+			}
+		}
+	}
+}

@@ -235,6 +235,30 @@ func TestOversizeBodyRejected(t *testing.T) {
 	}
 }
 
+// TestOversizeSpecRejected: a job whose polls field is far past its cap
+// is refused with a 400 at submission, before the runner could size its
+// scripts from it, and the server goes on serving.
+func TestOversizeSpecRejected(t *testing.T) {
+	_, ts := newTestServer(t, "")
+	body := `{"kind":"worstcase","polls":4611686018427387904}`
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("polls 1<<62: status %d, want 400", resp.StatusCode)
+	}
+	spec := jobspec.Spec{Kind: jobspec.KindWorstcase, Alg: "flag", Depth: 6}
+	var created JobView
+	if code := postJSON(t, ts.URL+"/api/v1/jobs", spec, &created); code != http.StatusAccepted {
+		t.Fatalf("submit after oversize spec: status %d", code)
+	}
+	if v := awaitTerminal(t, ts.URL, created.ID); v.Status != JobDone {
+		t.Fatalf("job after oversize spec ended %s: %s", v.Status, v.Error)
+	}
+}
+
 // TestCancelResumeRoundTrip: a durable job canceled early resumes (from
 // its snapshot if one committed, from scratch otherwise) and finishes
 // with the exact document of an uninterrupted run.

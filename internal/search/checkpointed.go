@@ -8,10 +8,8 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/errs"
-	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/statespace"
-	"repro/internal/telemetry"
 	"repro/internal/worksteal"
 )
 
@@ -37,36 +35,10 @@ import (
 // Unit roots are claimed as prefetch visits (never adopted, never
 // counted), so the partition itself leaves no fingerprint in the tallies.
 
-// Checkpoint configures a durable run. Units run one at a time on a
-// single worker, whatever Config.Workers says (it only fills the
-// Result's Workers field). Snapshots follow checkpoint.Committer's write
-// policy: committed units are staged and written once they have run at
-// least ten times as long as the previous write took, when StopAfter is
-// reached, on an interrupt seen between units, and at the end. A kill,
-// or an interrupt inside a unit, loses the staged units — up to about
-// ten write durations of work — and a resumed run redoes them.
-type Checkpoint struct {
-	// Path is the snapshot file (required).
-	Path string
-	// Tag folds a caller-side identity — typically the algorithm name,
-	// which the Factory hides — into the fingerprint.
-	Tag string
-	// ShardDepth is the unit prefix depth. Zero means 3; the value is
-	// clamped to MaxDepth-1.
-	ShardDepth int
-	// Resume loads the snapshot at Path instead of starting fresh; the
-	// snapshot's kind and fingerprint must match.
-	Resume bool
-	// StopAfter, when positive, interrupts the run after that many units
-	// committed in this invocation (a deterministic kill, for tests and
-	// smokes). The final snapshot is written before returning.
-	StopAfter int
-	// Interrupt, when non-nil, aborts the run when it becomes readable.
-	// Seen between units it first writes the staged units; inside a unit
-	// it writes nothing. Either way the snapshot on disk stays valid for
-	// resumption.
-	Interrupt <-chan struct{}
-}
+// Checkpoint configures a durable run; checkpoint.Options documents the
+// fields and the write policy. Config.Workers only fills the Result's
+// Workers field: units run one at a time on a single worker.
+type Checkpoint = checkpoint.Options
 
 // Fingerprint renders the configuration identity a snapshot is bound to.
 // Everything that determines the search space is included — algorithm
@@ -78,19 +50,9 @@ type Checkpoint struct {
 // must never seed an unreduced table or vice versa.
 func Fingerprint(tag string, cfg Config, shardDepth int, sharded bool) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "search|%s|n=%d|depth=%d|model=%s|shard=%d|scripts=",
-		tag, cfg.N, cfg.MaxDepth, cfg.Model.Name(), shardDepth)
-	for pid := 0; pid < cfg.N; pid++ {
-		script, ok := cfg.Scripts[memsim.PID(pid)]
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(&b, "p%d:", pid)
-		for _, k := range script {
-			fmt.Fprintf(&b, "%d,", k)
-		}
-		b.WriteByte(';')
-	}
+	fmt.Fprintf(&b, "search|%s|n=%d|depth=%d|model=%s|shard=%d|scripts=%s",
+		tag, cfg.N, cfg.MaxDepth, cfg.Model.Name(), shardDepth,
+		checkpoint.FingerprintScripts(cfg.N, cfg.Scripts))
 	if cfg.Faults.Enabled() {
 		// A fault-enabled search explores a strictly larger schedule space
 		// and keys its memo entries with the consumed fault budget, so its
@@ -115,32 +77,6 @@ func reduceEffective(cfg Config) bool {
 		(model.OrderInvariantCost(cfg.Model) || model.PermutationInvariantCost(cfg.Model))
 }
 
-// clampShardDepth resolves the unit depth: default 3, never at or past
-// the depth bound (the last level must belong to the spine so units are
-// always internal nodes).
-func clampShardDepth(cfg Config, d int) int {
-	if d <= 0 {
-		d = 3
-	}
-	if max := cfg.MaxDepth - 1; d > max {
-		d = max
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// EffectiveShardDepth reports the unit depth a run with this config and
-// requested depth actually uses — what a coordinator must fingerprint.
-func EffectiveShardDepth(cfg Config, d int) (int, error) {
-	cfg, err := normalize(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return clampShardDepth(cfg, d), nil
-}
-
 // ExpandUnits enumerates the units of cfg at shardDepth: the choice
 // prefixes of every internal tree node at exactly that depth, in
 // lexicographic order. Leaves above the shard depth carry no unit (the
@@ -152,7 +88,7 @@ func ExpandUnits(cfg Config, shardDepth int) ([][]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return expandUnits(cfg, clampShardDepth(cfg, shardDepth))
+	return expandUnits(cfg, checkpoint.ClampShardDepth(shardDepth, cfg.MaxDepth))
 }
 
 func expandUnits(cfg Config, d int) ([][]int, error) {
@@ -254,37 +190,12 @@ func (t *memoTable) preload(entries []checkpoint.Entry) {
 	}
 }
 
-// tally snapshots a hunter's cumulative counters so per-unit deltas can
-// be attributed to the unit that produced them.
-type tally struct{ paths, truncated, pruned, stepsSlept, symMerges int }
-
-func grab(w *hunter) tally {
-	return tally{
-		paths: w.paths, truncated: w.truncated, pruned: w.pruned,
-		stepsSlept: w.stepsSlept, symMerges: w.symMerges,
-	}
-}
-
-// delta converts counter movement since prev into checkpoint counters.
-// MaxDepthReached is a running maximum, which Counters.Add merges by max,
-// so the cumulative value passes through unchanged.
-func delta(prev tally, w *hunter) checkpoint.Counters {
-	return checkpoint.Counters{
-		Paths:           w.paths - prev.paths,
-		Truncated:       w.truncated - prev.truncated,
-		Pruned:          w.pruned - prev.pruned,
-		StepsSlept:      w.stepsSlept - prev.stepsSlept,
-		SymmetryMerges:  w.symMerges - prev.symMerges,
-		MaxDepthReached: w.maxDepth,
-	}
-}
-
-// RunCheckpointed runs the exhaustive search durably: units commit in
-// order, a snapshot lands at ck.Path between commits, and an interrupted
-// run resumes from the snapshot to the byte-identical Result an
-// uninterrupted run produces. An interruption (ck.Interrupt, or the
-// deterministic ck.StopAfter) returns an error classified as
-// errs.ClassInterrupt; everything already committed is on disk.
+// RunCheckpointed runs the exhaustive search durably: it expands the
+// units, commits them through checkpoint.Run (which resumes from, and
+// writes, the snapshot at ck.Path), then runs the spine pass, so an
+// interrupted run resumes to the byte-identical Result an uninterrupted
+// run produces. An interruption (ck.Interrupt, or the deterministic
+// ck.StopAfter) returns an error classified as errs.ClassInterrupt.
 func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	cfg, err := normalize(cfg)
 	if err != nil {
@@ -297,54 +208,21 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	if ck.Path == "" {
 		return nil, errs.Failure(errs.CodeInvalid, "search: checkpoint requires a path")
 	}
-	d := clampShardDepth(cfg, ck.ShardDepth)
-	fp := Fingerprint(ck.Tag, cfg, d, false)
+	d := checkpoint.ClampShardDepth(ck.ShardDepth, cfg.MaxDepth)
 	units, err := expandUnits(cfg, d)
 	if err != nil {
 		return nil, err
 	}
-
-	counters := checkpoint.Counters{}
-	var doneList []uint32
-	var resumeEntries []checkpoint.Entry
-	doneSet := map[uint32]bool{}
-	if ck.Resume {
-		snap, err := checkpoint.Read(ck.Path)
-		if err != nil {
-			return nil, err
-		}
-		if snap.Kind != checkpoint.KindSearch {
-			return nil, errs.Failuref(errs.CodeConflict,
-				"search: %s is a %s snapshot", ck.Path, snap.Kind)
-		}
-		if snap.Fingerprint != fp {
-			return nil, errs.Failuref(errs.CodeConflict,
-				"search: snapshot %s was written by a different configuration (%s, want %s)",
-				ck.Path, snap.Fingerprint, fp)
-		}
-		if !equalUnits(snap.Units, units) {
-			return nil, errs.Defectf("search: snapshot %s unit list disagrees with re-derivation", ck.Path)
-		}
-		counters = snap.Counters
-		doneList = snap.Done
-		doneSet = snap.DoneSet()
-		resumeEntries = snap.Entries
-		// Continue the telemetry counters from where the killed run
-		// committed, so rates and totals stay monotone across resumes. A
-		// pre-v4 snapshot has no telemetry block; seed the engine
-		// families from the deterministic counters instead (the best
-		// cumulative record such a snapshot carries).
-		if len(snap.Telemetry) > 0 {
-			checkpoint.PreloadCounters(cfg.Telemetry, snap.Telemetry)
-		} else if cfg.Telemetry != nil {
-			cfg.Telemetry.AddCounterValues([]telemetry.CounterValue{
-				{Name: "repro_engine_paths_total", Value: int64(snap.Counters.Paths)},
-				{Name: "repro_engine_truncated_total", Value: int64(snap.Counters.Truncated)},
-				{Name: "repro_engine_pruned_total", Value: int64(snap.Counters.Pruned)},
-				{Name: "repro_engine_sleep_prunes_total", Value: int64(snap.Counters.StepsSlept)},
-				{Name: "repro_engine_symmetry_merges_total", Value: int64(snap.Counters.SymmetryMerges)},
-			})
-		}
+	run := &checkpoint.Run{
+		Options: ck,
+		Snap: checkpoint.Snapshot{Kind: checkpoint.KindSearch,
+			Fingerprint: Fingerprint(ck.Tag, cfg, d, false), ShardDepth: d, Units: units},
+		Registry: cfg.Telemetry,
+		Meter:    cfg.Meter,
+		Clock:    commitClock,
+	}
+	if err := run.Open(); err != nil {
+		return nil, err
 	}
 
 	// Telemetry in checkpointed mode is write-granular: the engine runs
@@ -353,18 +231,13 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	// write that persists their units commits. That is what makes the
 	// persisted counters exact across kills: a mid-unit abort leaves the
 	// registry exactly at the last write, matching the snapshot a
-	// resumed run preloads from. The repro_unit_ns histogram, which no
-	// snapshot persists, records every unit this process ran.
-	reg := cfg.Telemetry
-	em := newEngineMetrics(reg)
-	worksteal.NewMetrics(reg) // frontier families at zero (single-worker)
-	ckm := checkpoint.NewMetrics(reg)
-	unitNs := reg.Histogram("repro_unit_ns",
-		1e5, 1e6, 1e7, 1e8, 1e9, 1e10)
+	// resumed run preloads from.
+	em := newEngineMetrics(cfg.Telemetry)
+	worksteal.NewMetrics(cfg.Telemetry) // frontier families at zero (single-worker)
 
 	s := &bnb{cfg: cfg, workers: 1, table: newMemoTable(), abort: make(chan struct{})}
 	s.live = cfg.Meter != nil
-	s.table.preload(resumeEntries)
+	s.table.preload(run.Snap.Entries)
 	if ck.Interrupt != nil {
 		finished := make(chan struct{})
 		defer close(finished)
@@ -381,79 +254,20 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		return nil, err
 	}
 
-	// Units are staged between writes: a committed unit's counters,
-	// table entries and engine telemetry land on disk and on the
-	// registry together, when the next write commits. A mid-unit abort
-	// therefore leaves the registry exactly at the last write's
-	// telemetry block, which is what a resumed run preloads.
 	written := w.telTally()
-	ckc := checkpoint.NewCommitter(commitClock)
-	persist := func() error {
+	run.Stage = func() []checkpoint.Entry {
 		em.addTally(0, written, w.telTally(), w.e.UndoMax, w.maxDepth)
 		written = w.telTally()
-		snap := &checkpoint.Snapshot{
-			Kind:        checkpoint.KindSearch,
-			Fingerprint: fp,
-			ShardDepth:  d,
-			Units:       units,
-			Done:        doneList,
-			Counters:    counters,
-			Entries:     s.table.export(),
-			// The write-instrumentation families necessarily lag one
-			// write (the sample is taken inside the body this write
-			// persists); the engine families are exact at every write.
-			Telemetry: checkpoint.SampleCounters(reg),
-		}
-		snap.SortEntries()
-		if err := ckm.Write(ck.Path, snap); err != nil {
-			return err
-		}
-		if cfg.Meter != nil {
-			cfg.Meter.Checkpointed()
-		}
-		return nil
+		return s.table.export()
 	}
-
-	committed := 0
-	for ui := range units {
-		if doneSet[uint32(ui)] {
-			continue
+	err = run.CommitUnits(func(i int) error {
+		err := w.runTask(task(units[i]))
+		if errors.Is(err, errStopped) {
+			return errs.Interrupted("search: interrupted mid-unit")
 		}
-		if s.stopped() {
-			if err := ckc.Flush(persist); err != nil {
-				return nil, err
-			}
-			return nil, errs.Interrupted("search: interrupted between units")
-		}
-		prev := grab(w)
-		unitStart := ckc.Begin()
-		if err := w.runTask(task(units[ui])); err != nil {
-			if errors.Is(err, errStopped) {
-				// Mid-unit abort: the unit did not commit, and neither do the
-				// staged units — the table now holds the aborted unit's
-				// partial entries. The last snapshot, which never saw them,
-				// stands.
-				return nil, errs.Interrupted("search: interrupted mid-unit")
-			}
-			return nil, err
-		}
-		counters.Add(delta(prev, w))
-		unitNs.Observe(0, ckc.Commit(unitStart).Nanoseconds())
-		doneList = append(doneList, uint32(ui))
-		committed++
-		if ck.StopAfter > 0 && committed >= ck.StopAfter {
-			if err := ckc.Flush(persist); err != nil {
-				return nil, err
-			}
-			return nil, errs.Interrupted(fmt.Sprintf("search: stopped after %d units as requested", committed))
-		}
-		if ckc.Due() {
-			if err := ckc.Write(persist); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := ckc.Flush(persist); err != nil {
+		return err
+	}, w.counters, s.stopped)
+	if err != nil {
 		return nil, err
 	}
 
@@ -461,25 +275,53 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	// root, adopting the memoized units. Its counters complete the totals
 	// but are never persisted — a run killed mid-spine resumes from the
 	// all-units-done snapshot and just redoes this (cheap) pass.
-	prev := grab(w)
 	prevTel := w.telTally()
-	if err := w.runTask(task{}); err != nil {
-		if errors.Is(err, errStopped) {
-			return nil, errs.Interrupted("search: interrupted during spine pass")
-		}
+	if err := w.spine(&run.Snap.Counters); err != nil {
 		return nil, err
 	}
-	counters.Add(delta(prev, w))
 	em.addTally(0, prevTel, w.telTally(), w.e.UndoMax, w.maxDepth)
-	if !s.rootSet {
-		return nil, errors.New("search: internal: spine pass never answered the root")
-	}
+	return w.result(run.Snap.Counters)
+}
 
+// counters reports the hunter's cumulative deterministic tallies.
+func (w *hunter) counters() checkpoint.Counters {
+	return checkpoint.Counters{
+		Paths:           w.paths,
+		Truncated:       w.truncated,
+		Pruned:          w.pruned,
+		StepsSlept:      w.stepsSlept,
+		SymmetryMerges:  w.symMerges,
+		MaxDepthReached: w.maxDepth,
+	}
+}
+
+// spine runs the pass from the root that computes the tree above the
+// shard depth, adopting the memoized units, and adds its tallies to
+// counters.
+func (w *hunter) spine(counters *checkpoint.Counters) error {
+	prev := w.counters()
+	if err := w.runTask(task{}); err != nil {
+		if errors.Is(err, errStopped) {
+			return errs.Interrupted("search: interrupted during spine pass")
+		}
+		return err
+	}
+	counters.Add(w.counters().Since(prev))
+	if !w.s.rootSet {
+		return errors.New("search: internal: spine pass never answered the root")
+	}
+	return nil
+}
+
+// result assembles the audited Result of a decomposed run from the
+// spine pass's root answer and the run's counters.
+func (w *hunter) result(counters checkpoint.Counters) (*Result, error) {
+	cfg := w.s.cfg
 	res := &Result{
 		Mode:            ModeExhaustive,
 		Model:           cfg.Model.Name(),
-		WorstCost:       s.rootCost,
-		Witness:         s.rootTail,
+		WorstCost:       w.s.rootCost,
+		Witness:         w.s.rootTail,
 		Workers:         cfg.Workers,
 		Paths:           counters.Paths,
 		Truncated:       counters.Truncated,
@@ -489,8 +331,12 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		MaxDepthReached: counters.MaxDepthReached,
 	}
 	if w.red != nil {
+		// A sharded merge holds only the unit-root entries, so the descent
+		// recomputes the interior of whichever units the witness threads
+		// through (bounded by one subtree per level; tallies are not
+		// counted).
 		res.Reduced = true
-		witness, err := w.reconstructWitness(s.rootCost)
+		witness, err := w.reconstructWitness(w.s.rootCost)
 		if err != nil {
 			return nil, err
 		}
@@ -505,20 +351,3 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 // commitClock is the clock the snapshot committer reads (nil means
 // time.Now); tests replace it to pace writes deterministically.
 var commitClock func() time.Time
-
-func equalUnits(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -2,7 +2,6 @@ package search
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/checkpoint"
 	"repro/internal/errs"
@@ -85,14 +84,7 @@ func ComputeUnit(cfg Config, prefix []int) (*UnitResult, error) {
 			// sibling-unit) edge visit adopts the entry, exactly as a
 			// prefetch-computed entry behaves in-process.
 		},
-		Counters: checkpoint.Counters{
-			Paths:           w.paths,
-			Truncated:       w.truncated,
-			Pruned:          w.pruned,
-			StepsSlept:      w.stepsSlept,
-			SymmetryMerges:  w.symMerges,
-			MaxDepthReached: w.maxDepth,
-		},
+		Counters: w.counters(),
 	}, nil
 }
 
@@ -130,43 +122,8 @@ func MergeShardedState(cfg Config, entries []checkpoint.Entry, counters checkpoi
 	if err != nil {
 		return nil, err
 	}
-	prev := grab(w)
-	if err := w.runTask(task{}); err != nil {
-		if errors.Is(err, errStopped) {
-			return nil, errs.Interrupted("search: merge interrupted")
-		}
+	if err := w.spine(&counters); err != nil {
 		return nil, err
 	}
-	counters.Add(delta(prev, w))
-	if !s.rootSet {
-		return nil, fmt.Errorf("search: internal: merge spine pass never answered the root")
-	}
-	res := &Result{
-		Mode:            ModeExhaustive,
-		Model:           cfg.Model.Name(),
-		WorstCost:       s.rootCost,
-		Witness:         s.rootTail,
-		Workers:         cfg.Workers,
-		Paths:           counters.Paths,
-		Truncated:       counters.Truncated,
-		Pruned:          counters.Pruned,
-		StepsSlept:      counters.StepsSlept,
-		SymmetryMerges:  counters.SymmetryMerges,
-		MaxDepthReached: counters.MaxDepthReached,
-	}
-	if w.red != nil {
-		// Only unit-root entries were shipped, so the descent recomputes
-		// the interior of whichever units the witness threads through
-		// (bounded by one subtree per level; tallies are not counted).
-		res.Reduced = true
-		witness, err := w.reconstructWitness(s.rootCost)
-		if err != nil {
-			return nil, err
-		}
-		res.Witness = witness
-	}
-	if err := auditResult(cfg, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return w.result(counters)
 }
