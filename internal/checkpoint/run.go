@@ -12,8 +12,8 @@ import (
 )
 
 // Options configures a durable run (search.Checkpoint and
-// explore.Checkpoint are this type). Units run one at a time on a single
-// worker, and snapshots follow the Committer's write policy: committed
+// explore.Checkpoint are this type). Units commit one at a time, in
+// order, and snapshots follow the Committer's write policy: committed
 // units are staged and written once they have run at least ten times as
 // long as the previous write took, when StopAfter is reached, on an
 // interrupt seen between units, and at the end. A kill, or an interrupt
@@ -238,15 +238,20 @@ func (r *Run) write() error {
 	if r.Path == "" {
 		return nil
 	}
+	snap := r.Snap
 	if r.Stage != nil {
-		r.Snap.Entries = r.Stage()
+		// The engine's table holds the entries, so Snap keeps none
+		// between writes: neither a resumed snapshot's entries nor the
+		// last export stay alive beside the table.
+		r.Snap.Entries = nil
+		snap.Entries = r.Stage()
 	}
 	// The write-instrumentation families necessarily lag one write (the
 	// sample is taken inside the body this write persists); the engine
 	// families are exact at every write.
-	r.Snap.Telemetry = SampleCounters(r.Registry)
-	r.Snap.SortEntries()
-	if err := r.metrics.Write(r.Path, &r.Snap); err != nil {
+	snap.Telemetry = SampleCounters(r.Registry)
+	snap.SortEntries()
+	if err := r.metrics.Write(r.Path, &snap); err != nil {
 		return err
 	}
 	if r.Meter != nil {
