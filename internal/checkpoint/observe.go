@@ -72,17 +72,3 @@ func SampleCounters(reg *telemetry.Registry) []CounterSample {
 	}
 	return out
 }
-
-// PreloadCounters seeds reg with a snapshot's persisted telemetry block
-// so a resumed run's counters continue monotonically from where the
-// killed run committed. No-op on a nil registry or an empty block.
-func PreloadCounters(reg *telemetry.Registry, samples []CounterSample) {
-	if reg == nil || len(samples) == 0 {
-		return
-	}
-	vals := make([]telemetry.CounterValue, len(samples))
-	for i, s := range samples {
-		vals[i] = telemetry.CounterValue{Name: s.Name, Value: s.Value}
-	}
-	reg.AddCounterValues(vals)
-}

@@ -144,24 +144,23 @@ func (r *Run) Open() error {
 // are seeded from its deterministic counters instead, the best
 // cumulative record such a snapshot carries.
 func preloadTelemetry(reg *telemetry.Registry, s *Snapshot) {
-	if reg == nil {
-		return
+	var vals []telemetry.CounterValue
+	for _, c := range s.Telemetry {
+		vals = append(vals, telemetry.CounterValue{Name: c.Name, Value: c.Value})
 	}
-	if len(s.Telemetry) > 0 {
-		PreloadCounters(reg, s.Telemetry)
-		return
-	}
-	c := s.Counters
-	vals := []telemetry.CounterValue{
-		{Name: "repro_engine_paths_total", Value: int64(c.Paths)},
-		{Name: "repro_engine_truncated_total", Value: int64(c.Truncated)},
-		{Name: "repro_engine_sleep_prunes_total", Value: int64(c.StepsSlept)},
-		{Name: "repro_engine_symmetry_merges_total", Value: int64(c.SymmetryMerges)},
-	}
-	if s.Kind == KindSearch {
-		vals = append(vals, telemetry.CounterValue{Name: "repro_engine_pruned_total", Value: int64(c.Pruned)})
-	} else {
-		vals = append(vals, telemetry.CounterValue{Name: "repro_engine_deduped_total", Value: int64(c.Deduped)})
+	if len(vals) == 0 {
+		c := s.Counters
+		vals = []telemetry.CounterValue{
+			{Name: "repro_engine_paths_total", Value: int64(c.Paths)},
+			{Name: "repro_engine_truncated_total", Value: int64(c.Truncated)},
+			{Name: "repro_engine_sleep_prunes_total", Value: int64(c.StepsSlept)},
+			{Name: "repro_engine_symmetry_merges_total", Value: int64(c.SymmetryMerges)},
+		}
+		if s.Kind == KindSearch {
+			vals = append(vals, telemetry.CounterValue{Name: "repro_engine_pruned_total", Value: int64(c.Pruned)})
+		} else {
+			vals = append(vals, telemetry.CounterValue{Name: "repro_engine_deduped_total", Value: int64(c.Deduped)})
+		}
 	}
 	reg.AddCounterValues(vals)
 }
